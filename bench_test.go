@@ -12,12 +12,10 @@ import (
 	"fmt"
 	"testing"
 
-	"bluedove/internal/core"
 	"bluedove/internal/experiment"
 	"bluedove/internal/forward"
 	"bluedove/internal/index"
 	"bluedove/internal/placement"
-	"bluedove/internal/wire"
 	"bluedove/internal/workload"
 )
 
@@ -226,54 +224,6 @@ func BenchmarkExtensionPersistence(b *testing.B) {
 		b.ReportMetric(100*r.LossBase, "baseline-loss-%")
 		b.ReportMetric(100*r.LossPersist, "persistent-loss-%")
 		b.ReportMetric(float64(r.Retries), "retries")
-	}
-}
-
-// BenchmarkForwardBatched compares end-to-end throughput of the real
-// in-process cluster stack with forward-path publication batching off and on
-// (dispatcher.Config.ForwardLinger). Unlike the figure benchmarks this does
-// not use the simulator: the quantity under test is the per-frame overhead of
-// the actual dispatcher → wire → transport → matcher → delivery hot path.
-func BenchmarkForwardBatched(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiment.Batching(experiment.BatchingOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fmt.Println(r.Table())
-		b.ReportMetric(r.UnbatchedMsgsPerSec, "unbatched-msgs/s")
-		b.ReportMetric(r.BatchedMsgsPerSec, "batched-msgs/s")
-		b.ReportMetric(r.Speedup, "speedup-x")
-		b.ReportMetric(r.Amortization, "msgs/frame")
-	}
-	// The trace-capable codec must not cost the zero-allocation forward path
-	// anything while tracing is off: pooled batch encode of untraced messages
-	// (Trace == nil, the telemetry-disabled configuration) stays at 0
-	// allocs/msg, the PR-1 baseline.
-	const batch = 64
-	msgs := make([]*core.Message, batch)
-	for i := range msgs {
-		msgs[i] = &core.Message{
-			ID:          core.MessageID(i + 1),
-			Attrs:       []float64{float64(i), 500, 500, 500},
-			Payload:     []byte("0123456789abcdef"),
-			PublishedAt: int64(i),
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		entries := make([]wire.ForwardEntry, 0, batch) // amortized away by the 64-msg frame
-		for _, m := range msgs {
-			entries = append(entries, wire.ForwardEntry{Dim: 0, Msg: m})
-		}
-		body := wire.ForwardBatchBody{Entries: entries}
-		buf := wire.GetBuf()
-		buf.B = body.AppendTo(buf.B)
-		wire.PutBuf(buf)
-	})
-	b.ReportMetric(allocs/batch, "untraced-allocs/msg")
-	// One slice header per 64-message frame is the only allowance.
-	if allocs > 1 {
-		b.Fatalf("untraced batch encode allocates %.0f times per %d-msg frame; forward path regressed", allocs, batch)
 	}
 }
 

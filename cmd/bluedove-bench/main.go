@@ -19,74 +19,10 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 5|6a|6b|7|8|9|10|11a|11b|11c|overhead|all")
-		scale    = flag.String("scale", "small", "workload scale: tiny|small|paper")
-		batching = flag.Bool("batching", false,
-			"run the forward-path batching comparison on the real in-process cluster instead of a figure")
-		chaosRun = flag.Bool("chaos", false,
-			"run the chaos failover experiment (matcher killed mid-burst) on the real in-process cluster")
-		chaosSeed = flag.Int64("chaos-seed", 1, "with -chaos: fault-injection seed")
-		telem     = flag.Bool("telemetry", false,
-			"run the tracing-overhead comparison (telemetry off / sampled 0 / 0.01 / 1.0) on the real in-process cluster")
-		durab = flag.Bool("durability", false,
-			"run the durability-cost comparison (journal off / fsync never / interval / always) plus the recovery-time curve on the real in-process cluster")
-		overload = flag.Bool("overload", false,
-			"run the overload-control comparison (one matcher throttled, layer off vs busy-NACK re-routing on) on the real in-process cluster")
-		match = flag.Bool("match", false,
-			"run the single-matcher match-path benchmark (covering + parallel shards across all index kinds) on the real matching stage")
-		elasticity = flag.Bool("elasticity", false,
-			"run the autoscale experiment: a σ-skewed ramp on the virtual clock (2→N→2 matchers, per-phase p99) plus a chaos-audited controller drain/split on the real in-process cluster")
-		edgeRun = flag.Bool("edge", false,
-			"run the edge-tier benchmark (100k multiplexed sessions on one edge: backpressure + reconnect storm, drop-oldest staleness, disconnect loss accounting) on the real edge server")
-		fedRun = flag.Bool("federation", false,
-			"run the federation benchmark (two real clusters joined by border dispatchers: summary suppression, intra- vs cross-cluster latency, zero acked loss across an inter-cluster link flap)")
-		diskFault = flag.Bool("diskfault", false,
-			"run the disk-fault certification (journaled full stack — edge, elastic, federation — under combined disk+network chaos: zero acked loss with FailStop, exact drop accounting with DegradeToMemory)")
-		matchDur = flag.Duration("match-duration", time.Second, "with -match: measured time per grid cell")
-		out      = flag.String("out", "", "with -batching/-chaos/-telemetry/-durability/-overload/-match/-elasticity/-edge/-federation/-diskfault: write the JSON report to this file (e.g. BENCH_match.json)")
+		fig   = flag.String("fig", "all", "figure to regenerate: 5|6a|6b|7|8|9|10|11a|11b|11c|overhead|all")
+		scale = flag.String("scale", "small", "workload scale: tiny|small|paper")
 	)
 	flag.Parse()
-
-	if *batching {
-		runBatching(*out)
-		return
-	}
-	if *chaosRun {
-		runChaos(*chaosSeed, *out)
-		return
-	}
-	if *telem {
-		runTelemetry(*out)
-		return
-	}
-	if *durab {
-		runDurability(*out)
-		return
-	}
-	if *overload {
-		runOverload(*chaosSeed, *out)
-		return
-	}
-	if *match {
-		runMatch(*matchDur, *out)
-		return
-	}
-	if *elasticity {
-		runElasticity(*chaosSeed, *out)
-		return
-	}
-	if *edgeRun {
-		runEdge(*chaosSeed, *out)
-		return
-	}
-	if *fedRun {
-		runFederation(*chaosSeed, *out)
-		return
-	}
-	if *diskFault {
-		runDiskFault(*chaosSeed, *out)
-		return
-	}
 
 	var sc experiment.Scale
 	switch *scale {

@@ -66,8 +66,6 @@ type Options struct {
 	ReportInterval time.Duration
 	RecoveryDelay  time.Duration
 	PruneGrace     time.Duration
-	// WorkersPerDim sizes matcher stages (default 1).
-	WorkersPerDim int
 	// Persistent enables at-least-once forwarding: dispatchers retain each
 	// publication until a matcher acks it, so crashes lose no accepted
 	// messages (paper Section VI future work; duplicates possible). Direct
@@ -96,24 +94,21 @@ type Options struct {
 	// dispatcher's forward path (see dispatcher.Config.ForwardLinger). Zero
 	// keeps the unbatched message-per-frame behavior.
 	ForwardLinger time.Duration
-	// ForwardBatchCount and ForwardBatchBytes tune the batch flush
-	// thresholds (defaults 64 messages / 256 KiB; meaningful only with
-	// ForwardLinger > 0).
+	// ForwardBatchCount tunes the batch flush threshold (default 64
+	// messages; meaningful only with ForwardLinger > 0).
 	ForwardBatchCount int
-	ForwardBatchBytes int
 	// MatcherQueueDepth bounds each matcher's per-dimension stage queue
 	// (matcher.Config.QueueDepth). Forwards arriving at a full stage are
 	// rejected with a busy NACK; 0 keeps the matcher's default depth.
 	MatcherQueueDepth int
-	// RetryBudget, RerouteBackoff, BreakerThreshold, BreakerCooldown,
-	// AdmissionLimit and MessageTTL pass through to every dispatcher's
-	// overload-control layer (see dispatcher.Config); zeros keep the
-	// dispatcher defaults (re-routing and circuit breaking ON; negative
+	// RetryBudget, RerouteBackoff, BreakerThreshold, AdmissionLimit and
+	// MessageTTL pass through to every dispatcher's overload-control layer
+	// (see dispatcher.Config); zeros keep the dispatcher defaults
+	// (re-routing and circuit breaking ON; negative
 	// RetryBudget/BreakerThreshold disable them).
 	RetryBudget      int
 	RerouteBackoff   time.Duration
 	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	AdmissionLimit   int
 	MessageTTL       time.Duration
 	// TCPFlushInterval, when positive on a TCP cluster, enables transport
@@ -226,8 +221,7 @@ func (o *Options) Validate() error {
 	// Optional durations where zero means "default/disabled": a negative
 	// value must not arm a negative timer downstream.
 	for _, d := range []*time.Duration{
-		&o.RerouteBackoff, &o.BreakerCooldown, &o.MessageTTL,
-		&o.ForwardLinger, &o.TCPFlushInterval,
+		&o.RerouteBackoff, &o.MessageTTL, &o.ForwardLinger, &o.TCPFlushInterval,
 	} {
 		if *d < 0 {
 			*d = 0
@@ -237,10 +231,9 @@ func (o *Options) Validate() error {
 	// with meaningful negative values (RetryBudget, BreakerThreshold:
 	// negative disables the feature) are deliberately left alone.
 	for _, n := range []*int{
-		&o.IndexBuckets, &o.MatchShards, &o.WorkersPerDim,
-		&o.MatcherQueueDepth, &o.ForwardBatchCount, &o.ForwardBatchBytes,
-		&o.AdmissionLimit, &o.EdgeBufferBytes, &o.ResumeWindow,
-		&o.Edges, &o.Borders, &o.FedMaxHops,
+		&o.IndexBuckets, &o.MatchShards, &o.MatcherQueueDepth,
+		&o.ForwardBatchCount, &o.AdmissionLimit, &o.EdgeBufferBytes,
+		&o.ResumeWindow, &o.Edges, &o.Borders, &o.FedMaxHops,
 	} {
 		if *n < 0 {
 			*n = 0
@@ -561,7 +554,6 @@ func (c *Cluster) startMatcher(id core.NodeID) (*matcher.Matcher, error) {
 		IndexBuckets:   c.opts.IndexBuckets,
 		Covering:       c.opts.Covering,
 		MatchShards:    c.opts.MatchShards,
-		WorkersPerDim:  c.opts.WorkersPerDim,
 		QueueDepth:     c.opts.MatcherQueueDepth,
 		ReportInterval: c.opts.ReportInterval,
 		GossipInterval: c.opts.GossipInterval,
@@ -608,12 +600,10 @@ func (c *Cluster) startDispatcher(id core.NodeID) (*dispatcher.Dispatcher, error
 		RetryBudget:       c.opts.RetryBudget,
 		RerouteBackoff:    c.opts.RerouteBackoff,
 		BreakerThreshold:  c.opts.BreakerThreshold,
-		BreakerCooldown:   c.opts.BreakerCooldown,
 		AdmissionLimit:    c.opts.AdmissionLimit,
 		MessageTTL:        c.opts.MessageTTL,
 		ForwardLinger:     c.opts.ForwardLinger,
 		ForwardBatchCount: c.opts.ForwardBatchCount,
-		ForwardBatchBytes: c.opts.ForwardBatchBytes,
 		Generation:        c.generation(id),
 		DataDir:           c.nodeDataDir(label),
 		Fsync:             c.opts.Fsync,

@@ -138,11 +138,23 @@ func TestChaosRestartWithRecoveryZeroAckedLoss(t *testing.T) {
 	if _, err := subCl.Subscribe(fullSpace()); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond) // let the stores land (and get journaled)
+	waitFor(t, 5*time.Second, func() bool {
+		for _, id := range c.MatcherIDs() {
+			for d := 0; d < 4; d++ {
+				if c.Matcher(id).SubsOnDim(d) != 1 {
+					return false
+				}
+			}
+		}
+		return true
+	})
 
 	victim := c.MatcherIDs()[0]
 	orphan := victimPoint(t, c, victim)
-	pubCl, err := c.NewClient(1, nil)
+	// The invariant covers AckPublish acks only (ack ⇒ journaled): a nil
+	// return from a fire-and-forget Publish says nothing about a publication
+	// still between the dispatcher's socket read and its journal append.
+	pubCl, err := c.NewAckClient(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +188,8 @@ func TestChaosRestartWithRecoveryZeroAckedLoss(t *testing.T) {
 		t.Fatal("scenario never killed the victim")
 	}
 
-	// Let the dispatcher drain its ingest queue (everything accepted is now
-	// journaled) and deliver what the surviving matchers can match; the
-	// orphans stay pending against the dead victim.
+	// Let the surviving matchers ack what they can match; the orphans stay
+	// pending against the dead victim.
 	pubDisp := c.Dispatchers()[1]
 	waitFor(t, 5*time.Second, func() bool {
 		n := pubDisp.InflightLen()

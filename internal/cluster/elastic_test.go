@@ -23,13 +23,28 @@ func subCount(c *Cluster, id core.NodeID) int {
 	return total
 }
 
+// degradeLinks applies faults to every dispatcher↔matcher link, both ways.
+func degradeLinks(c *Cluster, ctrl *chaos.Controller, faults chaos.LinkFaults) {
+	for _, id := range c.MatcherIDs() {
+		maddr, _ := c.MatcherAddr(id)
+		for _, daddr := range c.DispatcherAddrs() {
+			ctrl.SetFaults(daddr, maddr, faults)
+			ctrl.SetFaults(maddr, daddr, faults)
+		}
+	}
+}
+
 // TestRemoveMatcherDrainsZeroLoss: a controller-initiated scale-down in the
-// middle of a publication burst loses nothing the dispatcher acked — the
-// leaving matcher transfers its subscriptions over range-bounded frames,
-// keeps serving stale-routed traffic through the drain grace, and only then
-// stops.
+// middle of a publication burst, over degraded links, loses nothing the
+// dispatcher acked — the leaving matcher transfers its subscriptions over
+// range-bounded frames, keeps serving stale-routed traffic through the drain
+// grace, and only then stops.
 func TestRemoveMatcherDrainsZeroLoss(t *testing.T) {
+	seed := chaosSeed(t)
+	ctrl := chaos.NewController(seed)
+	defer ctrl.Close()
 	opts := fastOptions(4)
+	opts.Chaos = ctrl
 	opts.Persistent = true
 	opts.RetryInterval = 100 * time.Millisecond
 	opts.DrainGrace = 400 * time.Millisecond
@@ -54,6 +69,8 @@ func TestRemoveMatcherDrainsZeroLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond)
+	degradeLinks(c, ctrl, chaos.LinkFaults{Drop: 0.05, Duplicate: 0.05,
+		DelayMin: time.Millisecond, DelayMax: 3 * time.Millisecond})
 
 	pubCl, err := c.NewClient(1, nil)
 	if err != nil {
@@ -79,7 +96,7 @@ func TestRemoveMatcherDrainsZeroLoss(t *testing.T) {
 		t.Fatalf("remove matcher: %v", err)
 	}
 	if err := aud.WaitComplete(20 * time.Second); err != nil {
-		t.Fatal(err)
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 	if tab := c.Table(); tab.HasMatcher(victim) {
 		t.Fatalf("removed matcher %v still in table v%d", victim, tab.Version())
@@ -398,15 +415,8 @@ search:
 	}
 
 	// The cluster still delivers everything it acks, through degraded links.
-	faults := chaos.LinkFaults{Drop: 0.1, Duplicate: 0.1,
-		DelayMin: time.Millisecond, DelayMax: 3 * time.Millisecond}
-	for _, id := range c.MatcherIDs() {
-		maddr, _ := c.MatcherAddr(id)
-		for _, daddr := range c.DispatcherAddrs() {
-			ctrl.SetFaults(daddr, maddr, faults)
-			ctrl.SetFaults(maddr, daddr, faults)
-		}
-	}
+	degradeLinks(c, ctrl, chaos.LinkFaults{Drop: 0.1, Duplicate: 0.1,
+		DelayMin: time.Millisecond, DelayMax: 3 * time.Millisecond})
 	pubCl, err := c.NewClient(1, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -755,6 +755,18 @@ func (d *Dispatcher) handlePublish(msg *core.Message, wantAck bool) *wire.Envelo
 		msg.ID = core.MessageID(uint64(d.cfg.ID)<<40 | d.nextMsg)
 	}
 	t := d.table
+	// Persistent mode registers the in-flight entry before the frame can
+	// leave: a ForwardAck racing back must find it, or the entry added
+	// afterwards would be retransmitted although already acked.
+	var inf *inflightMsg
+	if d.cfg.Persistent && t != nil && len(d.inflight) < d.cfg.MaxInflight {
+		inf = &inflightMsg{
+			msg:      msg,
+			tried:    map[core.NodeID]bool{},
+			deadline: now + int64(d.cfg.RetryInterval),
+		}
+		d.inflight[msg.ID] = inf
+	}
 	d.mu.Unlock()
 	if tel := d.cfg.Telemetry; tel != nil {
 		if msg.Trace == nil && tel.Sampler.Sample() {
@@ -778,20 +790,30 @@ func (d *Dispatcher) handlePublish(msg *core.Message, wantAck bool) *wire.Envelo
 		}
 		return nil
 	}
-	if sent, to := d.forwardOnce(t, msg, nil); sent {
-		if d.cfg.Persistent {
-			d.track(msg, to)
-		} else if d.cfg.RetryBudget > 0 {
-			d.trackRoute(msg, to)
+	sent, to := d.forwardOnce(t, msg, nil)
+	if d.cfg.Persistent {
+		// Not sent: no candidate is reachable right now — e.g. every owner
+		// of this point just crashed. The publication is already accepted,
+		// so the entry stays with nothing tried: recovery reassigns the
+		// dead matcher's segments and the retransmit loop re-forwards to
+		// the new owners.
+		if sent && inf != nil {
+			d.mu.Lock()
+			inf.tried[to] = true
+			d.mu.Unlock()
+		}
+		// Journaled even past the inflight cap so the message-ID watermark
+		// survives a restart (the replay applies the same cap to the rebuilt
+		// table; only the counter always advances).
+		if d.jnl != nil {
+			d.journal(recPending, (&wire.PublishBody{Msg: msg}).Encode())
 		}
 		return d.publishAck(msg, wantAck)
 	}
-	if d.cfg.Persistent {
-		// No candidate reachable right now — e.g. every owner of this point
-		// just crashed. The publication is already accepted, so retain it:
-		// recovery reassigns the dead matcher's segments and the retransmit
-		// loop re-forwards to the new owners.
-		d.track(msg, 0)
+	if sent {
+		if d.cfg.RetryBudget > 0 {
+			d.trackRoute(msg, to)
+		}
 		return d.publishAck(msg, wantAck)
 	}
 	d.DroppedNoCandidate.Add(1)
@@ -869,31 +891,6 @@ func (d *Dispatcher) forwardOnce(t *partition.Table, msg *core.Message,
 		return true, c.Node
 	}
 	return false, 0
-}
-
-// track retains an unacked forward for retransmission; to == 0 records a
-// publication that could not be forwarded at all (no candidate tried yet).
-func (d *Dispatcher) track(msg *core.Message, to core.NodeID) {
-	tried := map[core.NodeID]bool{}
-	if to != 0 {
-		tried[to] = true
-	}
-	d.mu.Lock()
-	capped := len(d.inflight) >= d.cfg.MaxInflight
-	if !capped {
-		d.inflight[msg.ID] = &inflightMsg{
-			msg:      msg,
-			tried:    tried,
-			deadline: d.cfg.Now() + int64(d.cfg.RetryInterval),
-		}
-	}
-	d.mu.Unlock()
-	// Journaled even past the inflight cap so the message-ID watermark
-	// survives a restart (the replay applies the same cap to the rebuilt
-	// table; only the counter always advances).
-	if d.jnl != nil {
-		d.journal(recPending, (&wire.PublishBody{Msg: msg}).Encode())
-	}
 }
 
 // retransmitLoop re-forwards unacked messages past their deadline.

@@ -6,6 +6,7 @@ import (
 
 	"bluedove/internal/core"
 	"bluedove/internal/partition"
+	"bluedove/internal/transport"
 	"bluedove/internal/wire"
 )
 
@@ -293,4 +294,55 @@ func newHarnessPersistent(t *testing.T, matcherAddrs ...string) *harness {
 		h.mesh.Close()
 	})
 	return h
+}
+
+// earlyAckTransport delivers the matcher's ForwardAck synchronously, inside
+// the Send that carries the forward: the tightest ack/track interleaving a
+// real transport can produce.
+type earlyAckTransport struct {
+	transport.Transport
+	ack func(*wire.Envelope) *wire.Envelope
+}
+
+func (e *earlyAckTransport) Send(addr string, env *wire.Envelope) error {
+	if err := e.Transport.Send(addr, env); err != nil {
+		return err
+	}
+	if env.Kind == wire.KindForward {
+		if b, err := wire.DecodeForward(env.Body); err == nil {
+			e.ack(&wire.Envelope{Kind: wire.KindForwardAck, From: 1,
+				Body: (&wire.ForwardAckBody{ID: b.Msg.ID}).Encode()})
+		}
+	}
+	return nil
+}
+
+// An ack that beats the publish handler back from forwardOnce must still
+// settle the publication: the in-flight entry is registered before the frame
+// leaves, so nothing is left to retransmit.
+func TestEarlyAckSettlesInflight(t *testing.T) {
+	tr := &earlyAckTransport{}
+	h := newHarnessWith(t, func(c *Config) {
+		c.Persistent = true
+		c.RetryInterval = 50 * time.Millisecond
+		tr.Transport = c.Transport
+		c.Transport = tr
+	}, "m1")
+	tr.ack = h.d.handle
+	h.seedGossip(t, []core.NodeID{1}, []string{"m1"})
+	h.d.SetTable(table(t, 1))
+
+	msg := core.NewMessage([]float64{50, 50}, nil)
+	h.send(t, wire.KindPublish, 0, (&wire.PublishBody{Msg: msg}).Encode())
+	waitFor(t, func() bool { return h.d.Forwarded.Value() == 1 })
+	time.Sleep(4 * 50 * time.Millisecond) // several retry intervals
+	if n := h.d.InflightLen(); n != 0 {
+		t.Fatalf("inflight = %d after an early ack, want 0", n)
+	}
+	if n := h.d.Retransmits.Value(); n != 0 {
+		t.Fatalf("%d retransmits of an already-acked publication", n)
+	}
+	if n := len(h.received("m1", wire.KindForward)); n != 1 {
+		t.Fatalf("matcher saw %d forwards, want 1", n)
+	}
 }

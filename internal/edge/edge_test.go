@@ -2,6 +2,7 @@ package edge
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,6 +155,52 @@ func attach(t *testing.T, e *Edge, c *sinkSession) uint64 {
 		t.Fatal("welcome without token")
 	}
 	return w.Token
+}
+
+// attachFast attaches a full-space consumer that acks every frame as it
+// arrives: the well-behaved neighbour a slow session must not harm.
+func attachFast(t *testing.T, e *Edge) *sinkSession {
+	t.Helper()
+	c := &sinkSession{}
+	var tok atomic.Uint64
+	w, err := e.AttachLocal(&wire.SessionHelloBody{Subscriber: 2}, func(env *wire.Envelope) {
+		c.sink(env)
+		e.ack(tok.Load(), c.lastSeq())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok.Store(w.Token)
+	subscribe(t, e, w.Token, 0, 100)
+	return c
+}
+
+// pubPaced publishes messages 1..total at the fast consumer's pace, so only
+// the session that withholds acks can overflow.
+func pubPaced(t *testing.T, e *Edge, fast *sinkSession, total int) {
+	t.Helper()
+	for i := 1; i <= total; i++ {
+		pub(e, core.MessageID(i), 50, 50)
+		for deadline := time.Now().Add(5 * time.Second); fast.count() < i; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("fast session stalled at %d/%d", fast.count(), i)
+			}
+		}
+	}
+}
+
+// wantAll fails unless c saw messages 1..total exactly once, in order.
+func wantAll(t *testing.T, c *sinkSession, total int) {
+	t.Helper()
+	ids := c.msgIDs()
+	if len(ids) != total {
+		t.Fatalf("fast session saw %d deliveries, want %d", len(ids), total)
+	}
+	for i, id := range ids {
+		if id != core.MessageID(i+1) {
+			t.Fatalf("fast session frame %d carries msg %d: loss or reorder beside a slow session", i, id)
+		}
+	}
 }
 
 func subscribe(t *testing.T, e *Edge, token uint64, lo, hi float64) core.SubscriptionID {
@@ -323,10 +370,9 @@ func TestEdgeDropOldestPolicy(t *testing.T) {
 	c := &sinkSession{}
 	tok := attach(t, r.edge, c)
 	subscribe(t, r.edge, tok, 0, 100)
+	fast := attachFast(t, r.edge)
 	const total = 300
-	for i := 1; i <= total; i++ {
-		pub(r.edge, core.MessageID(i), 50, 50)
-	}
+	pubPaced(t, r.edge, fast, total)
 	waitFor(t, "drops under drop-oldest", func() bool { return r.edge.DroppedOldest() > 0 })
 	// Quiesce, then ack what arrived so the remainder flushes.
 	waitFor(t, "buffer drained", func() bool {
@@ -344,6 +390,15 @@ func TestEdgeDropOldestPolicy(t *testing.T) {
 	if ids[len(ids)-1] != total {
 		t.Fatalf("newest message %d lost under drop-oldest, want %d", ids[len(ids)-1], total)
 	}
+	// The slow tail ends at the head sequence, and the stale gap behind it
+	// is exactly the evicted deliveries.
+	if c.lastSeq() != total {
+		t.Fatalf("slow consumer ends at seq %d, want head %d", c.lastSeq(), total)
+	}
+	if gap := int64(total - len(ids)); gap == 0 || gap != r.edge.DroppedOldest() {
+		t.Fatalf("stale gap %d, evictions %d: want equal and non-zero", gap, r.edge.DroppedOldest())
+	}
+	wantAll(t, fast, total)
 	if r.edge.BackpressureWaits() != 0 {
 		t.Fatal("drop-oldest policy blocked")
 	}
@@ -360,14 +415,13 @@ func TestEdgeDisconnectPolicy(t *testing.T) {
 	c := &sinkSession{}
 	tok := attach(t, r.edge, c)
 	subscribe(t, r.edge, tok, 0, 100)
-	for i := 1; i <= 300; i++ {
-		pub(r.edge, core.MessageID(i), 50, 50)
-	}
+	fast := attachFast(t, r.edge)
+	pubPaced(t, r.edge, fast, 300)
 	if r.edge.SlowDisconnects() != 1 {
 		t.Fatalf("slow disconnects = %d, want 1", r.edge.SlowDisconnects())
 	}
-	if r.edge.Sessions() != 0 {
-		t.Fatalf("sessions = %d after disconnect, want 0", r.edge.Sessions())
+	if r.edge.Sessions() != 1 {
+		t.Fatalf("sessions = %d after disconnect, want 1 (the fast neighbour)", r.edge.Sessions())
 	}
 	// Resume picks up the newest ResumeWindow deliveries.
 	c2 := &sinkSession{}
@@ -386,6 +440,13 @@ func TestEdgeDisconnectPolicy(t *testing.T) {
 	if ids[len(ids)-1] != 300 {
 		t.Fatalf("resume tail ends at %d, want 300", ids[len(ids)-1])
 	}
+	// Nothing vanishes undeclared: seen before the detach + replayed +
+	// reported lost covers every matching publication.
+	if got := uint64(c.count()+c2.count()) + w.Lost; got != 300 {
+		t.Fatalf("%d delivered + %d replayed + %d declared lost = %d, want 300",
+			c.count(), c2.count(), w.Lost, got)
+	}
+	wantAll(t, fast, 300)
 }
 
 // TestEdgeResumeReplaysWindow: a detached session misses nothing that fits

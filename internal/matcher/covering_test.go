@@ -277,7 +277,7 @@ func TestMatchBatchZeroAlloc(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			m, err := New(Config{
-				ID: 1, Addr: "bench", Space: testSpace, Transport: discardTransport{},
+				ID: 1, Addr: "bench", Space: testSpace, Transport: nullTransport{},
 				MatchShards: shards,
 			})
 			if err != nil {
