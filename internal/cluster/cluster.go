@@ -157,7 +157,7 @@ type Options struct {
 	// ResumeWindow bounds each session's resume replay ring, in deliveries
 	// (0 = edge default, 1024).
 	ResumeWindow int
-	// Federation starts the border tier: Borders border nodes that join the
+	// Federation starts the border tier: one border node that joins the
 	// local overlay as core.RoleBorder, summarize the cluster's interest and
 	// route publications to/from the peer clusters in FedPeers (see
 	// internal/federation).
@@ -169,13 +169,9 @@ type Options struct {
 	// topologies usually leave this empty and wire the full mesh after start
 	// with Border.SetPeers (see StartFederated).
 	FedPeers []string
-	// Borders is the border node count (default 1 when Federation is set).
-	Borders int
 	// FedSummaryInterval is the border summary pull/exchange cadence
 	// (default 1s; tests shrink it).
 	FedSummaryInterval time.Duration
-	// FedMaxHops bounds inter-cluster forwarding hops (default 1).
-	FedMaxHops int
 	// LabelPrefix namespaces every node label (mesh address) of this
 	// cluster, so several clusters can share one in-process mesh — the
 	// inter-cluster topology StartFederated builds.
@@ -233,7 +229,7 @@ func (o *Options) Validate() error {
 	for _, n := range []*int{
 		&o.IndexBuckets, &o.MatchShards, &o.MatcherQueueDepth,
 		&o.ForwardBatchCount, &o.AdmissionLimit, &o.EdgeBufferBytes,
-		&o.ResumeWindow, &o.Edges, &o.Borders, &o.FedMaxHops,
+		&o.ResumeWindow, &o.Edges,
 	} {
 		if *n < 0 {
 			*n = 0
@@ -279,13 +275,8 @@ func (o *Options) defaults() error {
 	if o.DrainGrace <= 0 {
 		o.DrainGrace = o.PruneGrace
 	}
-	if o.Federation {
-		if o.Borders <= 0 {
-			o.Borders = 1
-		}
-		if o.ClusterID == 0 {
-			o.ClusterID = 1
-		}
+	if o.Federation && o.ClusterID == 0 {
+		o.ClusterID = 1
 	}
 	return nil
 }
@@ -407,13 +398,11 @@ func Start(opts Options) (*Cluster, error) {
 		}
 	}
 	if opts.Federation {
-		for i := 0; i < opts.Borders; i++ {
-			id := c.nextNode
-			c.nextNode++
-			if err := c.startBorder(id); err != nil {
-				c.Close()
-				return nil, err
-			}
+		id := c.nextNode
+		c.nextNode++
+		if err := c.startBorder(id); err != nil {
+			c.Close()
+			return nil, err
 		}
 	}
 	if opts.Elastic {
@@ -670,7 +659,6 @@ func (c *Cluster) startBorder(id core.NodeID) error {
 		Cluster:         c.opts.ClusterID,
 		Peers:           c.opts.FedPeers,
 		SummaryInterval: c.opts.FedSummaryInterval,
-		MaxHops:         c.opts.FedMaxHops,
 		GossipInterval:  c.opts.GossipInterval,
 		FailAfter:       c.opts.FailAfter,
 		Generation:      c.generation(id),

@@ -486,4 +486,3 @@ func TestFederationTrace(t *testing.T) {
 		return false
 	})
 }
-

@@ -180,8 +180,8 @@ type session struct {
 	// ring holds sent-but-unacked deliveries: the ack flight window
 	// (bounded by BufferBytes) and the resume replay source (bounded by
 	// ResumeWindow entries).
-	ring      []entry
-	ringBytes int
+	ring       []entry
+	ringBytes  int
 	acked      uint64
 	nextSeq    uint64 // next sequence to assign (starts at 1)
 	detached   bool

@@ -227,9 +227,9 @@ func TestEdgeFanOutMatchesSessions(t *testing.T) {
 	subscribe(t, r.edge, ta, 0, 50)
 	idB := subscribe(t, r.edge, tb, 40, 100)
 
-	pub(r.edge, 1, 10, 5)  // only A
-	pub(r.edge, 2, 45, 5)  // both
-	pub(r.edge, 3, 90, 5)  // only B
+	pub(r.edge, 1, 10, 5) // only A
+	pub(r.edge, 2, 45, 5) // both
+	pub(r.edge, 3, 90, 5) // only B
 	waitFor(t, "A=2 B=2 deliveries", func() bool { return a.count() == 2 && b.count() == 2 })
 	if ids := a.msgIDs(); ids[0] != 1 || ids[1] != 2 {
 		t.Fatalf("A got %v, want [1 2]", ids)

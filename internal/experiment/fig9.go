@@ -39,7 +39,7 @@ func Fig9(sc Scale) *Fig9Result {
 	cfg := sc.SimConfig(start, BlueDoveVariant().Strategy, BlueDoveVariant().Policy)
 	cfg.Elastic = true
 	cfg.ElasticCheckInterval = 5 * time.Second
-	cfg.ElasticCooldown = 15 * time.Second
+	cfg.ElasticConfig.CooldownRounds = 3 // 15 s at the 5 s scrape cadence
 	cl := sim.NewCluster(cfg)
 	cl.SubscribeAll(subs)
 

@@ -36,9 +36,7 @@ type OverheadResult struct {
 // Overhead measures maintenance traffic on a loaded 20-matcher cluster.
 func Overhead(sc Scale) *OverheadResult {
 	n := sc.MatcherCounts[len(sc.MatcherCounts)-1]
-	v := BlueDoveVariant()
-	cfg := sc.VariantConfig(n, v)
-	cl := sim.NewCluster(cfg)
+	cl := sim.NewCluster(sc.VariantConfig(n, BlueDoveVariant()))
 	wcfg := sc.Workload()
 	cl.SubscribeAll(workload.New(wcfg).Subscriptions(sc.Subs))
 	const dur = 60 * time.Second
@@ -48,10 +46,7 @@ func Overhead(sc Scale) *OverheadResult {
 
 	st := cl.Stats()
 	secs := dur.Seconds()
-	d := cfg.Dispatchers
-	if d == 0 {
-		d = 2
-	}
+	d := sim.Dispatchers
 	r := &OverheadResult{
 		Scale:       sc.Name,
 		Matchers:    n,

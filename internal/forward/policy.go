@@ -52,6 +52,33 @@ type DimLoad struct {
 	PendingLocal float64
 }
 
+// ShouldReport applies the paper's load-report push suppression (Section
+// IV-C: pushes on >10% change): snap goes out when nothing was reported yet
+// (last nil), the dimension count changed, some dimension's stored
+// subscription count changed, or its queue length, arrival rate or service
+// rate moved by more than deltaFrac relative to last.
+func ShouldReport(last, snap []DimLoad, deltaFrac float64) bool {
+	if last == nil || len(last) != len(snap) {
+		return true
+	}
+	changed := func(old, new float64) bool {
+		if old == 0 {
+			return new != 0
+		}
+		return math.Abs((new-old)/old) > deltaFrac
+	}
+	for i, l := range snap {
+		p := last[i]
+		if changed(float64(p.QueueLen), float64(l.QueueLen)) ||
+			changed(p.ArrivalRate, l.ArrivalRate) ||
+			changed(p.MatchRate, l.MatchRate) ||
+			p.Subs != l.Subs {
+			return true
+		}
+	}
+	return false
+}
+
 // EstimatedQueue extrapolates the queue length to time now:
 // q(t) = q0 + (λ−μ)(t−t0), floored at zero (paper Section III-B2), plus the
 // dispatcher's own not-yet-reported forwards (PendingLocal).

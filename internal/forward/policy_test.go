@@ -213,3 +213,36 @@ func TestNoDeprioritizerNoDemotion(t *testing.T) {
 		t.Fatalf("best-cost node not first: %v", got)
 	}
 }
+
+// TestShouldReport pins the >10% push suppression the matcher and the
+// simulator share: the first report and any subscription-count change always
+// go out; queue and rate changes go out only past the fraction.
+func TestShouldReport(t *testing.T) {
+	base := []DimLoad{{Subs: 10, QueueLen: 10, ArrivalRate: 100, MatchRate: 200}}
+	with := func(f func(*DimLoad)) []DimLoad {
+		s := []DimLoad{base[0]}
+		f(&s[0])
+		return s
+	}
+	cases := []struct {
+		name       string
+		last, snap []DimLoad
+		want       bool
+	}{
+		{"first report", nil, base, true},
+		{"dimension count changed", base, append(with(func(*DimLoad) {}), DimLoad{}), true},
+		{"unchanged", base, with(func(*DimLoad) {}), false},
+		{"subs changed by one", base, with(func(l *DimLoad) { l.Subs++ }), true},
+		{"queue within fraction", base, with(func(l *DimLoad) { l.QueueLen = 11 }), false},
+		{"queue past fraction", base, with(func(l *DimLoad) { l.QueueLen = 12 }), true},
+		{"arrival drop past fraction", base, with(func(l *DimLoad) { l.ArrivalRate = 80 }), true},
+		{"match rate within fraction", base, with(func(l *DimLoad) { l.MatchRate = 190 }), false},
+		{"from zero", with(func(l *DimLoad) { l.QueueLen = 0 }), base, true},
+		{"report time ignored", base, with(func(l *DimLoad) { l.ReportedAt = 5 }), false},
+	}
+	for _, tc := range cases {
+		if got := ShouldReport(tc.last, tc.snap, 0.1); got != tc.want {
+			t.Errorf("%s: ShouldReport = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

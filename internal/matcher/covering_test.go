@@ -96,10 +96,10 @@ func TestCoveringJournalReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st(mkBox(1, 0, 100, 0, 100))  // cover
-	st(mkBox(2, 10, 50, 10, 90))  // rider
-	st(mkBox(3, 20, 40, 20, 80))  // rider (one-level: attaches to 1, not 2)
-	st(mkBox(4, 60, 90, 60, 90))  // rider
+	st(mkBox(1, 0, 100, 0, 100)) // cover
+	st(mkBox(2, 10, 50, 10, 90)) // rider
+	st(mkBox(3, 20, 40, 20, 80)) // rider (one-level: attaches to 1, not 2)
+	st(mkBox(4, 60, 90, 60, 90)) // rider
 	waitFor(t, func() bool { return m.SubsOnDim(0) == 4 })
 	if got := m.IndexedOnDim(0); got != 1 {
 		t.Fatalf("IndexedOnDim = %d, want 1", got)

@@ -10,13 +10,11 @@ package matcher
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bluedove/internal/core"
-	"bluedove/internal/delivery"
 	"bluedove/internal/forward"
 	"bluedove/internal/gossip"
 	"bluedove/internal/index"
@@ -211,7 +209,6 @@ type Matcher struct {
 	wg    sync.WaitGroup
 
 	lastReport []forward.DimLoad
-	reported   bool
 
 	// sendCopies reports whether the transport copies bodies on Send, so
 	// pooled encode buffers may be recycled immediately (see
@@ -674,38 +671,19 @@ func (m *Matcher) handover(b *wire.HandoverBody) {
 	_ = m.cfg.Transport.Send(b.TargetAddr, &wire.Envelope{Kind: wire.KindTransferRange, From: m.cfg.ID, Body: body})
 }
 
-// SplitPoint returns the load-weighted cut point for this matcher's
-// dimension-dim subscriptions within r: the median predicate center, so a
-// split at this point moves roughly half the stored load. It falls back to
-// the range midpoint when fewer than two subscriptions overlap. Deterministic
-// given the same stored set — the elasticity controller's split decisions
-// replay identically.
+// SplitPoint returns the load-weighted cut point (partition.SplitPoint) for
+// this matcher's dimension-dim subscriptions within r.
 func (m *Matcher) SplitPoint(dim int, r core.Range) float64 {
 	if dim < 0 || dim >= len(m.dims) {
 		return r.Low + (r.High-r.Low)/2
 	}
-	var centers []float64
+	var subs []*core.Subscription
 	for _, sh := range m.dims[dim].shards {
 		sh.mu.RLock()
-		for _, s := range sh.idx.Overlapping(r, nil) {
-			p := s.Predicates[dim]
-			c := p.Low + (p.High-p.Low)/2
-			if c > r.Low && c < r.High {
-				centers = append(centers, c)
-			}
-		}
+		subs = sh.idx.Overlapping(r, subs)
 		sh.mu.RUnlock()
 	}
-	mid := r.Low + (r.High-r.Low)/2
-	if len(centers) < 2 {
-		return mid
-	}
-	sort.Float64s(centers)
-	cut := centers[len(centers)/2]
-	if cut <= r.Low || cut >= r.High {
-		return mid
-	}
-	return cut
+	return partition.SplitPoint(subs, dim, r)
 }
 
 // reportLoop pushes per-dimension load reports to every dispatcher.
@@ -785,11 +763,10 @@ func (m *Matcher) seedStage(dim int) {
 // change).
 func (m *Matcher) report() {
 	snap := m.LoadSnapshot()
-	if !m.shouldReport(snap) {
+	if !forward.ShouldReport(m.lastReport, snap, m.cfg.ReportDeltaFrac) {
 		return
 	}
 	m.lastReport = snap
-	m.reported = true
 	body := (&wire.LoadReportBody{Loads: snap, Health: uint8(m.StoreHealth())}).Encode()
 	env := &wire.Envelope{Kind: wire.KindLoadReport, From: m.cfg.ID, Body: body}
 	for _, p := range m.gsp.Peers() {
@@ -799,32 +776,6 @@ func (m *Matcher) report() {
 			}
 		}
 	}
-}
-
-func (m *Matcher) shouldReport(snap []forward.DimLoad) bool {
-	if !m.reported || len(m.lastReport) != len(snap) {
-		return true
-	}
-	changed := func(old, new float64) bool {
-		if old == 0 {
-			return new != 0
-		}
-		d := (new - old) / old
-		if d < 0 {
-			d = -d
-		}
-		return d > m.cfg.ReportDeltaFrac
-	}
-	for i, l := range snap {
-		p := m.lastReport[i]
-		if changed(float64(p.QueueLen), float64(l.QueueLen)) ||
-			changed(p.ArrivalRate, l.ArrivalRate) ||
-			changed(p.MatchRate, l.MatchRate) ||
-			p.Subs != l.Subs {
-			return true
-		}
-	}
-	return false
 }
 
 // tableLoop adopts the freshest segment table seen in gossip and prunes
@@ -930,7 +881,3 @@ func (m *Matcher) Table() *partition.Table {
 	defer m.tableMu.Unlock()
 	return m.table
 }
-
-// QueueStore returns nil: matchers deliver to queue hosts, they do not host
-// queues. Defined so tooling can treat nodes uniformly.
-func (m *Matcher) QueueStore() *delivery.QueueStore { return nil }

@@ -2,10 +2,12 @@ package matcher
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bluedove/internal/core"
+	"bluedove/internal/gossip"
 	"bluedove/internal/transport"
 	"bluedove/internal/wire"
 )
@@ -276,5 +278,81 @@ func TestBadFramesIgnored(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config accepted")
+	}
+}
+
+// TestTTLShedAtDequeue: on the single-message path (matchOne) and the batch
+// path (matchBatch), a publication whose TTL expired while queued is acked,
+// never delivered, and counted in Shed; one still inside its TTL is
+// delivered. The matcher's clock is injected and advanced past
+// PublishedAt+TTL for the expired cases.
+func TestTTLShedAtDequeue(t *testing.T) {
+	const published, ttl = int64(1_000_000_000), int64(time.Second)
+	for _, tc := range []struct {
+		name           string
+		batch, expired bool
+	}{
+		{"single/live", false, false},
+		{"single/expired", false, true},
+		{"batch/live", true, false},
+		{"batch/expired", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var clock atomic.Int64
+			clock.Store(published)
+			h := newHarnessMut(t, func(c *Config) { c.Now = clock.Load })
+			// One gossip exchange introduces the sender (node 99, as stamped by
+			// h.send) at "peer", so the matcher can address its acks.
+			g, err := gossip.New(gossip.Config{ID: 99, Addr: "peer", Role: core.RoleDispatcher,
+				Transport: h.mesh.Endpoint("gossip-99"), Seeds: []string{"m1"}, Now: clock.Load})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Round()
+			if _, ok := h.m.Gossiper().AddrOf(99); !ok {
+				t.Fatal("matcher did not learn the sender's address")
+			}
+			h.send(t, wire.KindStore, (&wire.StoreBody{Dim: 0, Sub: mkSub(5, 0, 100), DeliverAddr: "peer"}).Encode())
+			waitFor(t, func() bool { return h.m.SubsOnDim(0) == 1 })
+
+			msg := core.NewMessage([]float64{20, 30}, nil)
+			msg.ID, msg.PublishedAt, msg.TTL = 42, published, ttl
+			if tc.expired {
+				clock.Store(published + ttl + 1)
+			}
+			ackKind, delKind := wire.KindForwardAck, wire.KindDeliver
+			if tc.batch {
+				ackKind, delKind = wire.KindForwardAckBatch, wire.KindDeliverBatch
+				h.send(t, wire.KindForwardBatch, (&wire.ForwardBatchBody{Entries: []wire.ForwardEntry{{Dim: 0, Msg: msg}}}).Encode())
+			} else {
+				h.send(t, wire.KindForward, (&wire.ForwardBody{Dim: 0, Msg: msg}).Encode())
+			}
+
+			// The ack leaves after any delivery frame, so once it is in,
+			// the delivery count is final.
+			waitFor(t, func() bool { return len(h.received(ackKind)) == 1 })
+			ack := h.received(ackKind)[0]
+			if tc.batch {
+				b, err := wire.DecodeForwardAckBatch(ack.Body)
+				if err != nil || len(b.IDs) != 1 || b.IDs[0] != 42 {
+					t.Fatalf("ack batch: %+v %v", b, err)
+				}
+			} else if b, err := wire.DecodeForwardAck(ack.Body); err != nil || b.ID != 42 {
+				t.Fatalf("ack: %+v %v", b, err)
+			}
+			wantShed, wantDelivered := int64(0), 1
+			if tc.expired {
+				wantShed, wantDelivered = 1, 0
+			}
+			if got := h.m.Shed.Value(); got != wantShed {
+				t.Errorf("Shed = %d, want %d", got, wantShed)
+			}
+			if got := len(h.received(delKind)); got != wantDelivered {
+				t.Errorf("delivery frames = %d, want %d", got, wantDelivered)
+			}
+			if got := h.m.Delivered.Value(); got != int64(wantDelivered) {
+				t.Errorf("Delivered = %d, want %d", got, wantDelivered)
+			}
+		})
 	}
 }

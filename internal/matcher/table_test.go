@@ -113,7 +113,4 @@ func TestAccessors(t *testing.T) {
 	if h.m.Gossiper() == nil {
 		t.Error("Gossiper nil")
 	}
-	if h.m.QueueStore() != nil {
-		t.Error("matchers host no queues")
-	}
 }

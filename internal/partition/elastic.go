@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"bluedove/internal/core"
 )
@@ -140,4 +141,25 @@ func (t *Table) Split(dim int, cut float64, to core.NodeID) (*Table, Handover, e
 	dp.Owners[j+1] = to
 	c.version = t.version + 1
 	return c, Handover{Dim: dim, From: from, To: to, Range: core.Range{Low: cut, High: hi}}, nil
+}
+
+// SplitPoint picks the load-weighted cut for segment r of dimension dim from
+// the subscriptions stored there that overlap it: the median predicate
+// center, so a split at this point moves roughly half the stored load. It
+// falls back to the midpoint when fewer than two centers fall strictly
+// inside r. Order-independent, so split decisions replay identically.
+func SplitPoint(subs []*core.Subscription, dim int, r core.Range) float64 {
+	var centers []float64
+	for _, s := range subs {
+		p := s.Predicates[dim]
+		c := p.Low + (p.High-p.Low)/2
+		if c > r.Low && c < r.High {
+			centers = append(centers, c)
+		}
+	}
+	if len(centers) < 2 {
+		return r.Low + (r.High-r.Low)/2
+	}
+	sort.Float64s(centers)
+	return centers[len(centers)/2]
 }

@@ -222,3 +222,29 @@ func TestElasticChurnWithSplits(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitPoint pins the shared median-center cut the simulator and the
+// matcher both split on: centers outside the segment do not vote, fewer
+// than two voters fall back to the midpoint, and input order is irrelevant.
+func TestSplitPoint(t *testing.T) {
+	r := core.Range{Low: 100, High: 200}
+	sub := func(lo, hi float64) *core.Subscription {
+		return core.NewSubscription(1, []core.Range{{Low: 0, High: 1}, {Low: lo, High: hi}})
+	}
+	cases := []struct {
+		name string
+		subs []*core.Subscription
+		want float64
+	}{
+		{"empty", nil, 150},
+		{"one voter", []*core.Subscription{sub(110, 130)}, 150},
+		{"outside centers ignored", []*core.Subscription{sub(0, 100), sub(200, 300), sub(110, 130)}, 150},
+		{"median", []*core.Subscription{sub(170, 190), sub(110, 130), sub(130, 150)}, 140},
+		{"even count takes upper median", []*core.Subscription{sub(110, 130), sub(130, 150), sub(150, 170), sub(170, 190)}, 160},
+	}
+	for _, tc := range cases {
+		if got := SplitPoint(tc.subs, 1, r); got != tc.want {
+			t.Errorf("%s: SplitPoint = %g, want %g", tc.name, got, tc.want)
+		}
+	}
+}

@@ -9,10 +9,7 @@ import (
 	"bluedove/internal/core"
 	"bluedove/internal/elastic"
 	"bluedove/internal/forward"
-	"bluedove/internal/index"
-	"bluedove/internal/metrics"
 	"bluedove/internal/partition"
-	"bluedove/internal/telemetry"
 	"bluedove/internal/workload"
 )
 
@@ -37,15 +34,11 @@ type Cluster struct {
 	rrDisp   int
 
 	stats     *Stats
-	arrMeter  *metrics.RateMeter
 	joinTimes []int64
 	failTimes []int64
 
 	elCtrl   *elastic.Controller  // nil unless Config.Elastic
 	draining map[core.NodeID]bool // matchers mid-removal
-
-	tel        *telemetry.Telemetry // nil unless TraceSampleRate > 0
-	e2eLatency *metrics.Histogram   // publish → deliver, virtual ns, traced only
 }
 
 // simDispatcher is a dispatcher's local state: a possibly stale table view,
@@ -95,16 +88,10 @@ func (d *simDispatcher) Alive(node core.NodeID) bool { return !d.dead[node] }
 // NewCluster builds a simulated cluster and starts its periodic control
 // events. The virtual clock starts at 0; nothing runs until RunUntil.
 func NewCluster(cfg Config) *Cluster {
-	return newClusterWithEngine(cfg.withDefaults(), NewEngine())
-}
-
-// newClusterWithEngine builds a cluster over an existing event engine, so a
-// multi-cluster federation can share one virtual clock. cfg must already
-// have defaults applied.
-func newClusterWithEngine(cfg Config, eng *Engine) *Cluster {
+	cfg = cfg.withDefaults()
 	cl := &Cluster{
 		cfg:      cfg,
-		eng:      eng,
+		eng:      NewEngine(),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		matchers: make(map[core.NodeID]*simMatcher),
 		registry: make(map[core.SubscriptionID]*core.Subscription),
@@ -113,7 +100,6 @@ func newClusterWithEngine(cfg Config, eng *Engine) *Cluster {
 		nextMsg:  1,
 		nextSub:  1,
 		stats:    newStats(),
-		arrMeter: metrics.NewRateMeter(cfg.RateWindow, 8),
 	}
 	ids := make([]core.NodeID, cfg.Matchers)
 	for i := range ids {
@@ -128,18 +114,9 @@ func newClusterWithEngine(cfg Config, eng *Engine) *Cluster {
 	}
 	cl.table = tab
 	if cfg.Elastic {
-		ec := cfg.ElasticConfig
-		if ec.CooldownRounds == 0 && cfg.ElasticCooldown > 0 {
-			// The legacy knob is wall-clock; the controller counts rounds.
-			ec.CooldownRounds = int((cfg.ElasticCooldown + cfg.ElasticCheckInterval - 1) /
-				cfg.ElasticCheckInterval)
-		}
-		cl.elCtrl = elastic.NewController(ec)
+		cl.elCtrl = elastic.NewController(cfg.ElasticConfig)
 	}
-	if cfg.TraceSampleRate > 0 {
-		cl.initTelemetry()
-	}
-	for i := 0; i < cfg.Dispatchers; i++ {
+	for i := 0; i < Dispatchers; i++ {
 		cl.dispatchers = append(cl.dispatchers, &simDispatcher{
 			id:      cl.nextNode,
 			cl:      cl,
@@ -153,45 +130,6 @@ func newClusterWithEngine(cfg Config, eng *Engine) *Cluster {
 	cl.startControlLoops()
 	return cl
 }
-
-// initTelemetry builds the simulated cluster's telemetry bundle over the
-// virtual clock: the same registry/tracer code the real nodes run, with
-// every timestamp drawn from the event engine.
-func (cl *Cluster) initTelemetry() {
-	cl.e2eLatency = metrics.NewHistogram()
-	cl.tel = telemetry.New(telemetry.Options{
-		SampleRate: cl.cfg.TraceSampleRate,
-		Now:        cl.eng.Now,
-		Base:       []telemetry.Label{telemetry.L("role", "sim")},
-	})
-	r := cl.tel.Registry
-	r.Counter("sim.arrived", "publications injected", &cl.stats.Arrived)
-	r.Counter("sim.subscriptions", "subscriptions registered", &cl.stats.Subscriptions)
-	r.Counter("sim.gossip_bytes", "modeled gossip traffic", &cl.stats.GossipBytes)
-	r.Counter("sim.load_push_bytes", "modeled load-report traffic", &cl.stats.LoadPushBytes)
-	r.Gauge("sim.backlog", "messages queued across all matchers", func(int64) float64 {
-		return float64(cl.TotalBacklog())
-	})
-	r.Gauge("sim.arrival_rate", "cluster arrival rate lambda (msg/s)", func(now int64) float64 {
-		return cl.arrMeter.Rate(now)
-	})
-	r.Histogram("sim.deliver_latency_seconds",
-		"publish to delivery per traced publication (virtual time)", cl.e2eLatency, 1e-9)
-	if cl.elCtrl != nil {
-		r.Counter("elastic.scale_up", "controller scale-up decisions", &cl.elCtrl.ScaleUps)
-		r.Counter("elastic.scale_down", "controller scale-down decisions", &cl.elCtrl.ScaleDowns)
-		r.Counter("elastic.splits", "controller hot-segment split decisions", &cl.elCtrl.Splits)
-		r.Counter("elastic.replaces", "scale-ups fired to replace a durability-failed matcher", &cl.elCtrl.Replaces)
-		r.Counter("elastic.thrash", "scale direction reversals inside the thrash window", &cl.elCtrl.Thrash)
-		r.Gauge("elastic.matchers", "live matcher count", func(int64) float64 {
-			return float64(len(cl.Matchers()))
-		})
-	}
-}
-
-// Telemetry returns the simulated cluster's telemetry bundle (nil unless
-// Config.TraceSampleRate > 0).
-func (cl *Cluster) Telemetry() *telemetry.Telemetry { return cl.tel }
 
 // Engine returns the cluster's event engine (for scheduling custom events in
 // tests and experiments).
@@ -221,14 +159,13 @@ func (cl *Cluster) startControlLoops() {
 				continue
 			}
 			snap := m.loadSnapshot(now)
-			if !m.shouldReport(snap) {
+			if !forward.ShouldReport(m.lastReport, snap, reportDeltaFrac) {
 				continue
 			}
 			m.lastReport = snap
-			m.reported = true
 			for _, d := range cl.dispatchers {
 				d := d
-				cl.eng.After(cfg.NetDelay, func() {
+				cl.eng.After(netDelay, func() {
 					d.loads[m.id] = snap
 					d.pending[m.id] = make([]int, len(snap))
 				})
@@ -238,12 +175,12 @@ func (cl *Cluster) startControlLoops() {
 		return true
 	})
 	// Dispatcher table pulls.
-	cl.eng.Every(int64(cfg.TablePullInterval), cfg.TablePullInterval, func() bool {
+	cl.eng.Every(int64(tablePullInterval), tablePullInterval, func() bool {
 		size := int64(len(cl.table.Encode()))
 		for _, d := range cl.dispatchers {
 			d := d
 			tab := cl.table
-			cl.eng.After(cfg.NetDelay, func() {
+			cl.eng.After(netDelay, func() {
 				if d.table.Version() < tab.Version() {
 					d.table = tab
 				}
@@ -381,33 +318,19 @@ func (cl *Cluster) SubscribeAll(subs []*core.Subscription) {
 // forwards it one hop to the best alive candidate. Messages with no alive
 // candidate are lost.
 func (cl *Cluster) Publish(m *core.Message) {
-	now := cl.eng.Now()
 	m.ID = cl.nextMsg
 	cl.nextMsg++
-	m.PublishedAt = now
-	if m.TTL == 0 && cl.cfg.MessageTTL > 0 {
-		m.TTL = int64(cl.cfg.MessageTTL)
-	}
+	m.PublishedAt = cl.eng.Now()
 	cl.stats.Arrived.Add(1)
-	cl.arrMeter.Mark(now, 1)
-	if cl.tel != nil && cl.tel.Sampler.Sample() {
-		m.Trace = &core.TraceCtx{ID: core.TraceID(m.ID)}
-		m.Trace.Stamp(core.HopPublish, now)
-	}
 	d := cl.dispatchers[cl.rrDisp]
 	cl.rrDisp = (cl.rrDisp + 1) % len(cl.dispatchers)
-	cl.eng.After(cl.cfg.DispatchCost, func() { cl.forward(d, m) })
-}
-
-// forward runs the dispatcher-side candidate selection and one-hop send.
-func (cl *Cluster) forward(d *simDispatcher, m *core.Message) {
-	cl.forwardMsg(queuedMsg{m: m, from: d})
+	cl.eng.After(dispatchCost, func() { cl.forwardMsg(queuedMsg{m: m, from: d}) })
 }
 
 // forwardMsg routes one (possibly retried) message to its best candidate,
-// skipping matchers already attempted. It reports whether a forward went
-// out (false: the message was lost or parked for a persistence retry).
-func (cl *Cluster) forwardMsg(qm queuedMsg) bool {
+// skipping matchers already attempted; with no candidate left the message
+// is lost, or parked for a persistence retry.
+func (cl *Cluster) forwardMsg(qm queuedMsg) {
 	now := cl.eng.Now()
 	d := qm.from
 	cands := cl.cfg.Strategy.Candidates(d.table, qm.m)
@@ -420,64 +343,24 @@ func (cl *Cluster) forwardMsg(qm queuedMsg) bool {
 		if target == nil {
 			continue
 		}
-		if cl.cfg.Persistent || cl.cfg.BusyReroute {
+		if cl.cfg.Persistent {
 			if qm.tried == nil {
 				qm.tried = make(map[core.NodeID]bool)
 			}
 			qm.tried[c.Node] = true
 		}
 		qm.dim = c.Dim
-		if t := qm.m.Trace; t != nil {
-			t.Dispatcher = d.id
-			t.Matcher = c.Node
-			t.Dim = c.Dim
-			t.Stamp(core.HopIngest, now)
-			t.Stamp(core.HopForward, now)
-		}
 		d.sent(c.Node, c.Dim, cl.cfg.Space.K())
-		cl.eng.After(cl.cfg.NetDelay, func() { target.enqueue(qm) })
-		return true
+		cl.eng.After(netDelay, func() { target.enqueue(qm) })
+		return
 	}
 	if !cl.cfg.Persistent {
 		cl.recordLoss(now)
-		return false
+		return
 	}
 	// Persistence: no untried alive candidate right now — wait for failure
 	// detection / recovery to change the view, then retry afresh.
 	cl.retryLater(qm)
-	return false
-}
-
-// busyReject handles a forward bounced off a full matcher stage: the busy
-// NACK corrects the dispatcher's load view with the fresher queue depth,
-// and with BusyReroute the message rides one network hop back and is
-// re-forwarded to the next-best untried candidate (bounded by
-// PersistMaxAttempts). Without the re-route the rejected forward is lost —
-// the pre-overload-layer silent drop.
-func (cl *Cluster) busyReject(qm queuedMsg, at core.NodeID) {
-	cl.stats.BusyNacks.Add(1)
-	now := cl.eng.Now()
-	if d := qm.from; d != nil {
-		if ls := d.loads[at]; qm.dim < len(ls) {
-			ls[qm.dim].QueueLen = cl.cfg.MatcherQueueDepth
-			ls[qm.dim].ReportedAt = now
-		}
-	}
-	if !cl.cfg.BusyReroute || qm.from == nil {
-		cl.recordLoss(now)
-		return
-	}
-	qm.attempts++
-	if qm.attempts > cl.cfg.PersistMaxAttempts {
-		cl.recordLoss(now)
-		return
-	}
-	// The NACK travels back one hop before the dispatcher can re-forward.
-	cl.eng.After(cl.cfg.NetDelay, func() {
-		if cl.forwardMsg(qm) {
-			cl.stats.Rerouted.Add(1)
-		}
-	})
 }
 
 // lostOrRetry handles a message caught on a crashed matcher: with the
@@ -488,7 +371,7 @@ func (cl *Cluster) lostOrRetry(qm queuedMsg) {
 		return
 	}
 	qm.attempts++
-	if qm.attempts > cl.cfg.PersistMaxAttempts {
+	if qm.attempts > persistMaxAttempts {
 		cl.recordLoss(cl.eng.Now())
 		return
 	}
@@ -504,12 +387,12 @@ func (cl *Cluster) lostOrRetry(qm queuedMsg) {
 // messages forever.
 func (cl *Cluster) retryLater(qm queuedMsg) {
 	qm.waits++
-	if qm.waits > cl.cfg.PersistMaxAttempts*10 {
+	if qm.waits > persistMaxAttempts*10 {
 		cl.recordLoss(cl.eng.Now())
 		return
 	}
 	qm.tried = nil
-	cl.eng.After(cl.cfg.PersistRetryDelay, func() { cl.forwardMsg(qm) })
+	cl.eng.After(persistRetryDelay, func() { cl.forwardMsg(qm) })
 }
 
 // Drive schedules an open-loop workload: publications drawn from gen at the
@@ -547,7 +430,7 @@ func (cl *Cluster) recordLoss(now int64) { cl.stats.recordLoss(now) }
 // recordResponse records a completed message's response time, keyed by its
 // arrival time.
 func (cl *Cluster) recordResponse(at int64, m *core.Message) {
-	cl.stats.recordResponse(m.PublishedAt, at-m.PublishedAt, cl.cfg.SampleEvery)
+	cl.stats.recordResponse(m.PublishedAt, at-m.PublishedAt)
 }
 
 // FailMatcher crashes a matcher at the current virtual time: its queued
@@ -649,7 +532,7 @@ func (cl *Cluster) AddMatcher() core.NodeID {
 	cl.propagateTable()
 	// Victims prune after the table has reached all dispatchers, so stale
 	// routing cannot miss matches.
-	grace := cl.cfg.TablePropagateDelay + cl.cfg.NetDelay
+	grace := tablePropagateDelay + netDelay
 	cl.eng.After(grace, func() { cl.pruneToTable() })
 	return id
 }
@@ -686,7 +569,7 @@ func (cl *Cluster) RemoveMatcher(id core.NodeID) error {
 	cl.table = newTab
 	cl.stats.Leaves.Add(1)
 	cl.propagateTable()
-	grace := cl.cfg.TablePropagateDelay + cl.cfg.NetDelay
+	grace := tablePropagateDelay + netDelay
 	var retire func()
 	retire = func() {
 		busy := 0
@@ -731,7 +614,7 @@ func (cl *Cluster) SplitSegment(hot core.NodeID, dim int, to core.NodeID) (float
 			widest = s
 		}
 	}
-	cut := splitPoint(hm.indexes[dim], dim, widest)
+	cut := partition.SplitPoint(hm.indexes[dim].Overlapping(widest, nil), dim, widest)
 	newTab, h, err := cl.table.Split(dim, cut, to)
 	if err != nil {
 		return 0, err
@@ -742,41 +625,16 @@ func (cl *Cluster) SplitSegment(hot core.NodeID, dim int, to core.NodeID) (float
 	cl.table = newTab
 	cl.stats.Splits.Add(1)
 	cl.propagateTable()
-	grace := cl.cfg.TablePropagateDelay + cl.cfg.NetDelay
+	grace := tablePropagateDelay + netDelay
 	cl.eng.After(grace, func() { cl.pruneToTable() })
 	return cut, nil
-}
-
-// splitPoint picks the load-weighted cut for a segment: the median center of
-// the stored predicates overlapping it (the same policy as the real
-// matcher's SplitPoint), falling back to the midpoint when too few
-// subscriptions vote.
-func splitPoint(idx index.Index, dim int, r core.Range) float64 {
-	var centers []float64
-	for _, s := range idx.Overlapping(r, nil) {
-		p := s.Predicates[dim]
-		c := p.Low + (p.High-p.Low)/2
-		if c > r.Low && c < r.High {
-			centers = append(centers, c)
-		}
-	}
-	mid := r.Low + (r.High-r.Low)/2
-	if len(centers) < 2 {
-		return mid
-	}
-	sort.Float64s(centers)
-	cut := centers[len(centers)/2]
-	if cut <= r.Low || cut >= r.High {
-		return mid
-	}
-	return cut
 }
 
 // propagateTable delivers the authoritative table to every dispatcher after
 // the gossip propagation delay.
 func (cl *Cluster) propagateTable() {
 	tab := cl.table
-	cl.eng.After(cl.cfg.TablePropagateDelay, func() {
+	cl.eng.After(tablePropagateDelay, func() {
 		for _, d := range cl.dispatchers {
 			if d.table.Version() < tab.Version() {
 				d.table = tab

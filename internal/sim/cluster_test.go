@@ -294,7 +294,7 @@ func TestElasticControllerAddsMatchers(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.Elastic = true
 	cfg.ElasticCheckInterval = 2 * time.Second
-	cfg.ElasticCooldown = 5 * time.Second
+	cfg.ElasticConfig.CooldownRounds = 3
 	cl := NewCluster(cfg)
 	gen := workload.New(workload.Default(cfg.Space))
 	cl.SubscribeAll(gen.Subscriptions(3000))
@@ -398,35 +398,5 @@ func TestStatsLossFractionAndBacklog(t *testing.T) {
 	}
 	if got := st.Backlog(); got != 3 {
 		t.Errorf("Backlog = %d", got)
-	}
-}
-
-// BatchSize amortizes the fixed per-message matching cost, so the same
-// offered load that swamps an unbatched cluster leaves a batched one with
-// (near-)empty queues.
-func TestBatchSizeRaisesCapacity(t *testing.T) {
-	run := func(batch int) (delivered, backlog int) {
-		cfg := testConfig(4)
-		cfg.BatchSize = batch
-		// A fixed cost heavy enough that the unbatched cluster saturates at
-		// this offered rate while the batched one keeps up.
-		cfg.BaseMatchCost = time.Millisecond
-		cfg.OnDeliver = func(m *core.Message, subs []*core.Subscription) { delivered++ }
-		cl := NewCluster(cfg)
-		gen := workload.New(workload.Default(cfg.Space))
-		cl.SubscribeAll(gen.Subscriptions(300))
-		cl.RunUntil(int64(3 * time.Second))
-		start := cl.Now()
-		cl.Drive(gen, workload.ConstantRate(20000), start+int64(3*time.Second))
-		cl.RunUntil(start + int64(4*time.Second))
-		return delivered, cl.TotalBacklog()
-	}
-	d1, b1 := run(1)
-	d64, b64 := run(64)
-	if d64 <= d1 {
-		t.Errorf("delivered: batch64=%d batch1=%d; want batching to deliver more", d64, d1)
-	}
-	if b64 >= b1 {
-		t.Errorf("backlog: batch64=%d batch1=%d; want batching to drain queues", b64, b1)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"time"
 
 	"bluedove/internal/core"
@@ -12,13 +13,12 @@ import (
 // queuedMsg is a message waiting in one of a matcher's per-dimension queues,
 // carrying the provenance the persistence extension needs to re-forward it.
 type queuedMsg struct {
-	m          *core.Message
-	dim        int
-	enqueuedAt int64
-	from       *simDispatcher       // forwarding dispatcher
-	tried      map[core.NodeID]bool // matchers already attempted
-	attempts   int                  // failed sends (bounced off dead matchers)
-	waits      int                  // no-candidate wait cycles
+	m        *core.Message
+	dim      int
+	from     *simDispatcher       // forwarding dispatcher
+	tried    map[core.NodeID]bool // matchers already attempted
+	attempts int                  // failed sends (bounced off dead matchers)
+	waits    int                  // no-candidate wait cycles
 }
 
 // simMatcher models one matcher server following the paper's SEDA layout:
@@ -30,7 +30,7 @@ type queuedMsg struct {
 // a single-set system (P2P, full replication) gets its whole pool on its
 // one queue while BlueDove pins one worker per dimension stage.
 // Per-dimension λ/μ meters feed the load reports. Service time per message
-// is BaseMatchCost + PerScanCost·scanned + PerDeliverCost·matched —
+// is BaseMatchCost + PerScanCost·scanned + perDeliverCost·matched —
 // in-memory matching cost proportional to the subscriptions searched, the
 // quantity the paper's policies optimize.
 type simMatcher struct {
@@ -48,13 +48,10 @@ type simMatcher struct {
 	serviceEWMA []float64 // smoothed per-message service time (ns) per dimension
 
 	lastReport []forward.DimLoad
-	reported   bool
 
-	busyNs       int64 // cumulative service time across all workers
-	busyMark     int64 // busyNs at last utilization snapshot
-	deliveries   int64
-	processed    int64
-	matchedTotal int64
+	busyNs    int64 // cumulative service time across all workers
+	busyMark  int64 // busyNs at last utilization snapshot
+	processed int64
 }
 
 func newSimMatcher(cl *Cluster, id core.NodeID) *simMatcher {
@@ -72,8 +69,8 @@ func newSimMatcher(cl *Cluster, id core.NodeID) *simMatcher {
 	}
 	for i := 0; i < k; i++ {
 		m.indexes[i] = index.New(cl.cfg.IndexKind, cl.cfg.Space, i)
-		m.arrivals[i] = metrics.NewRateMeter(cl.cfg.RateWindow, 8)
-		m.matched[i] = metrics.NewRateMeter(cl.cfg.RateWindow, 8)
+		m.arrivals[i] = metrics.NewRateMeter(rateWindow, 8)
+		m.matched[i] = metrics.NewRateMeter(rateWindow, 8)
 	}
 	return m
 }
@@ -87,18 +84,12 @@ func (m *simMatcher) store(dim int, s *core.Subscription) {
 // matcher are lost (the pre-failure-detection loss of Figure 10) unless the
 // persistence extension re-forwards them.
 func (m *simMatcher) enqueue(qm queuedMsg) {
-	now := m.cl.eng.Now()
 	if !m.alive {
 		m.cl.lostOrRetry(qm)
 		return
 	}
 	dim := qm.dim
-	if depth := m.cl.cfg.MatcherQueueDepth; depth > 0 && len(m.queues[dim]) >= depth {
-		m.cl.busyReject(qm, m.id)
-		return
-	}
-	qm.enqueuedAt = now
-	m.arrivals[dim].Mark(now, 1)
+	m.arrivals[dim].Mark(m.cl.eng.Now(), 1)
 	m.queues[dim] = append(m.queues[dim], qm)
 	m.queued++
 	m.serveNext(dim)
@@ -133,31 +124,19 @@ func (m *simMatcher) serveNext(dim int) {
 }
 
 // serveOne pops one message from dimension dim's queue onto a worker.
-// Expired publications are shed here — the stale work is deliberately
-// abandoned without consuming a worker, as in the real matcher's dequeue.
 func (m *simMatcher) serveOne(dim int) {
 	qm := m.queues[dim][0]
 	m.queues[dim] = m.queues[dim][1:]
 	m.queued--
-	if qm.m.TTL > 0 && m.cl.eng.Now() > qm.m.PublishedAt+qm.m.TTL {
-		m.cl.stats.ShedExpired.Add(1)
-		return
-	}
 	m.busyDim[dim]++
-	if qm.m.Trace != nil {
-		qm.m.Trace.Stamp(core.HopDequeue, m.cl.eng.Now())
-	}
 
 	// matchedSubs escapes into the completion closure, so its destination
 	// slice is fresh; the stabbing candidate buffer is reused across serves.
 	matchedSubs, cands, scanned := index.Match(m.indexes[dim], qm.m, nil, m.cands)
 	m.cands = cands
-	// Batching amortizes the fixed per-message overhead across the frame;
-	// parallel match shards divide the scan term across that many cores
-	// (the real stack's matcher.Config.MatchShards fan-out).
-	service := int64(m.cl.cfg.BaseMatchCost)/int64(m.cl.cfg.BatchSize) +
-		int64(m.cl.cfg.PerScanCost)*int64(scanned)/int64(m.cl.cfg.MatchShards) +
-		int64(m.cl.cfg.PerDeliverCost)*int64(len(matchedSubs))
+	service := int64(m.cl.cfg.BaseMatchCost) +
+		int64(m.cl.cfg.PerScanCost)*int64(scanned) +
+		int64(perDeliverCost)*int64(len(matchedSubs))
 	const ewmaAlpha = 0.1
 	if m.serviceEWMA[dim] == 0 {
 		m.serviceEWMA[dim] = float64(service)
@@ -173,43 +152,16 @@ func (m *simMatcher) serveOne(dim int) {
 // complete finishes a message: records μ, response time (including the
 // delivery hop), and continues serving.
 func (m *simMatcher) complete(qm queuedMsg, dim int, matchedSubs []*core.Subscription) {
-	now := m.cl.eng.Now()
 	m.busyDim[dim]--
 	if !m.alive {
 		// The server crashed while this message was being matched.
 		m.cl.lostOrRetry(qm)
 		return
 	}
-	_ = now
-	m.matched[dim].Mark(m.cl.eng.Now(), 1)
+	now := m.cl.eng.Now()
+	m.matched[dim].Mark(now, 1)
 	m.processed++
-	m.deliveries += int64(len(matchedSubs))
-	m.matchedTotal += int64(len(matchedSubs))
-	respAt := m.cl.eng.Now() + int64(m.cl.cfg.NetDelay)
-	if m.cl.cfg.Edges > 0 {
-		// Deliveries ride an extra hop through the edge tier, which spends
-		// EdgeFanoutCost per matched session re-matching and enqueueing;
-		// that work is spread across the Edges servers.
-		fanout := int64(m.cl.cfg.EdgeFanoutCost) * int64(len(matchedSubs)) / int64(m.cl.cfg.Edges)
-		respAt += int64(m.cl.cfg.NetDelay) + fanout
-		m.cl.stats.EdgeDeliveries.Add(int64(len(matchedSubs)))
-	}
-	m.cl.recordResponse(respAt, qm.m)
-	if t := qm.m.Trace; t != nil {
-		t.Stamp(core.HopMatch, now)
-		// The delivery and the ack both ride one network hop; the trace is
-		// recorded when the ack reaches the dispatcher, as in the real stack.
-		msg := qm.m
-		m.cl.eng.After(m.cl.cfg.NetDelay, func() {
-			at := m.cl.eng.Now()
-			t.Stamp(core.HopDeliver, at)
-			t.Stamp(core.HopAck, at)
-			m.cl.tel.Tracer.Record(msg.ID, t)
-			if pub := t.Hops[core.HopPublish]; pub != 0 {
-				m.cl.e2eLatency.Observe(at - pub)
-			}
-		})
-	}
+	m.cl.recordResponse(now+int64(netDelay), qm.m)
 	if m.cl.cfg.OnDeliver != nil {
 		m.cl.cfg.OnDeliver(qm.m, matchedSubs)
 	}
@@ -246,11 +198,14 @@ func (m *simMatcher) loadSnapshot(now int64) []forward.DimLoad {
 // dimension stage by stabbing the index at a few stored predicate centers.
 func (m *simMatcher) probeService(dim int) float64 {
 	idx := m.indexes[dim]
-	base := float64(m.cl.cfg.BaseMatchCost) / float64(m.cl.cfg.BatchSize)
+	base := float64(m.cl.cfg.BaseMatchCost)
 	if idx.Len() == 0 {
 		return base
 	}
+	// All ranges over a map for the bucket index; probe in ID order so a seed
+	// replays the same first reports and routing.
 	subs := idx.All(nil)
+	sort.Slice(subs, func(i, j int) bool { return subs[i].ID < subs[j].ID })
 	total, probes := 0, 0
 	for i := 0; i < len(subs) && probes < 3; i += 1 + len(subs)/3 {
 		p := subs[i].Predicates[dim]
@@ -258,38 +213,7 @@ func (m *simMatcher) probeService(dim int) float64 {
 		total += scanned
 		probes++
 	}
-	if probes == 0 {
-		return base
-	}
-	return base + float64(m.cl.cfg.PerScanCost)*float64(total)/
-		float64(probes)/float64(m.cl.cfg.MatchShards)
-}
-
-// shouldReport applies the paper's ">10% change" push suppression.
-func (m *simMatcher) shouldReport(snap []forward.DimLoad) bool {
-	if !m.reported || len(m.lastReport) != len(snap) {
-		return true
-	}
-	changed := func(old, new float64) bool {
-		if old == 0 {
-			return new != 0
-		}
-		d := (new - old) / old
-		if d < 0 {
-			d = -d
-		}
-		return d > m.cl.cfg.ReportDeltaFrac
-	}
-	for i, l := range snap {
-		p := m.lastReport[i]
-		if changed(float64(p.QueueLen), float64(l.QueueLen)) ||
-			changed(p.ArrivalRate, l.ArrivalRate) ||
-			changed(p.MatchRate, l.MatchRate) ||
-			p.Subs != l.Subs {
-			return true
-		}
-	}
-	return false
+	return base + float64(m.cl.cfg.PerScanCost)*float64(total)/float64(probes)
 }
 
 // fail kills the matcher: queued messages are lost, nothing further is

@@ -37,15 +37,6 @@ type Stats struct {
 	Splits metrics.Counter
 	// PersistRetries counts re-forwards by the persistence extension.
 	PersistRetries metrics.Counter
-	// BusyNacks counts forwards rejected by a full matcher stage.
-	BusyNacks metrics.Counter
-	// Rerouted counts busy-NACKed forwards re-routed to another candidate.
-	Rerouted metrics.Counter
-	// ShedExpired counts publications shed at dequeue with an expired TTL.
-	ShedExpired metrics.Counter
-	// EdgeDeliveries counts session deliveries fanned out through the edge
-	// tier (Config.Edges > 0; one per matched subscription).
-	EdgeDeliveries metrics.Counter
 
 	// GossipBytes counts matcher↔matcher gossip traffic.
 	GossipBytes metrics.Counter
@@ -67,11 +58,11 @@ func newStats() *Stats {
 	}
 }
 
-func (s *Stats) recordResponse(publishedAt, respNs int64, sampleEvery int) {
+func (s *Stats) recordResponse(publishedAt, respNs int64) {
 	s.Completed.Add(1)
 	s.RespHist.Observe(respNs)
 	s.sampleCount++
-	if s.sampleCount%int64(sampleEvery) == 0 {
+	if s.sampleCount%sampleEvery == 0 {
 		s.RespSeries.Append(publishedAt, float64(respNs)/1e9)
 	}
 }
@@ -93,10 +84,10 @@ func (s *Stats) sampleLoss(now int64) {
 	s.LossSeries.Append(now, float64(dl)/float64(da))
 }
 
-// Backlog returns arrived − completed − lost − shed: messages still in
-// flight or queued.
+// Backlog returns arrived − completed − lost: messages still in flight or
+// queued.
 func (s *Stats) Backlog() int64 {
-	return s.Arrived.Value() - s.Completed.Value() - s.Lost.Value() - s.ShedExpired.Value()
+	return s.Arrived.Value() - s.Completed.Value() - s.Lost.Value()
 }
 
 // LossFraction returns lost/arrived over the whole run (0 when nothing

@@ -54,8 +54,8 @@ func TestTransferRangeID(t *testing.T) {
 
 func FuzzDecodeTransferRange(f *testing.F) {
 	f.Add((&TransferRangeBody{
-		TransferID:   TransferRangeID(7, 12, 1, 450, 600),
-		Dim:          1, Low: 450, High: 600,
+		TransferID: TransferRangeID(7, 12, 1, 450, 600),
+		Dim:        1, Low: 450, High: 600,
 		Subs:         []*core.Subscription{sampleSub()},
 		DeliverAddrs: []string{"addr"},
 	}).Encode())
