@@ -112,7 +112,8 @@ type Options struct {
 	AdmissionLimit   int
 	MessageTTL       time.Duration
 	// TCPFlushInterval, when positive on a TCP cluster, enables transport
-	// write coalescing on every node (see transport.TCP.FlushInterval).
+	// write coalescing on every node; only its sign matters, since the
+	// flusher writes as soon as it is free (see transport.TCP.FlushInterval).
 	TCPFlushInterval time.Duration
 	// Chaos, when non-nil, wraps every node's transport in the
 	// fault-injection controller: scheduled drops, delays, duplicates,

@@ -166,7 +166,7 @@ func (m *Mesh) send(from, to string, env *wire.Envelope) error {
 	case m.queues[to] <- queued{env: env}:
 		return nil
 	default:
-		return fmt.Errorf("transport: %s inbound queue full", to)
+		return fmt.Errorf("%w: %s inbound queue full", ErrOverloaded, to)
 	}
 }
 

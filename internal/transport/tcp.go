@@ -21,11 +21,13 @@ import (
 type TCP struct {
 	// DialTimeout bounds connection establishment (default 2s).
 	DialTimeout time.Duration
-	// FlushInterval, when positive, enables write coalescing: Send buffers
-	// frames in each connection's bufio.Writer and a background flusher
-	// flushes dirty connections every FlushInterval, so a burst of sends to
-	// one destination costs one syscall instead of one per frame. Zero (the
-	// default) flushes every frame immediately. Set before the first Send.
+	// FlushInterval, when positive, enables write coalescing; only its sign
+	// matters. Send buffers frames in each connection's bufio.Writer and
+	// wakes a background flusher, which flushes the connections dirtied
+	// since its last pass as soon as it is free: an idle path pays one
+	// goroutine hand-off, and frames sent while a pass is writing leave
+	// together in the next one, one syscall per destination. Zero (the
+	// default) flushes every frame inline. Set before the first Send.
 	FlushInterval time.Duration
 	// IdleTimeout, when positive, closes accepted server-side connections
 	// that deliver no frame for this long — without it a dead peer pins its
@@ -47,6 +49,12 @@ type TCP struct {
 
 	flusherOnce sync.Once
 	flusherStop chan struct{}
+	// flushWake has one slot: a Send that dirties a connection posts to it
+	// without blocking, so any number of sends during a pass collapse into
+	// one more pass.
+	flushWake chan struct{}
+	dirtyMu   sync.Mutex
+	dirty     []*sendConn // connections dirtied since the flusher's last swap
 
 	// FramesSent / BytesSent count one-way frames written (including
 	// buffered frames awaiting a coalesced flush); FramesReceived /
@@ -61,10 +69,12 @@ type TCP struct {
 }
 
 type sendConn struct {
-	mu    sync.Mutex
-	conn  net.Conn
-	bw    *bufio.Writer
-	dirty bool // buffered frames awaiting a flush
+	mu   sync.Mutex
+	conn net.Conn
+	bw   *bufio.Writer
+	// dirty marks buffered frames awaiting a flush. The Send that sets it
+	// puts the connection on TCP.dirty, so the flusher's next pass finds it.
+	dirty bool
 }
 
 // NewTCP returns an unconnected TCP transport.
@@ -74,6 +84,7 @@ func NewTCP() *TCP {
 		conns:       make(map[string]*sendConn),
 		accepted:    make(map[net.Conn]struct{}),
 		flusherStop: make(chan struct{}),
+		flushWake:   make(chan struct{}, 1),
 	}
 }
 
@@ -193,7 +204,7 @@ func (t *TCP) Send(addr string, env *wire.Envelope) error {
 			t.mu.Lock()
 			if !t.closed {
 				t.wg.Add(1)
-				go t.flushLoop(t.FlushInterval)
+				go t.flushLoop()
 			}
 			t.mu.Unlock()
 		})
@@ -208,10 +219,11 @@ func (t *TCP) Send(addr string, env *wire.Envelope) error {
 			sc.mu.Unlock()
 			continue
 		}
+		dirtied := false
 		if coalesce {
 			err = wire.WriteFrameBuffered(sc.bw, env)
-			if err == nil {
-				sc.dirty = true
+			if err == nil && !sc.dirty {
+				sc.dirty, dirtied = true, true
 			}
 		} else {
 			err = wire.WriteFrame(sc.bw, env)
@@ -224,6 +236,9 @@ func (t *TCP) Send(addr string, env *wire.Envelope) error {
 			continue
 		}
 		sc.mu.Unlock()
+		if dirtied {
+			t.markDirty(sc)
+		}
 		t.FramesSent.Add(1)
 		t.BytesSent.Add(int64(len(env.Body)))
 		return nil
@@ -231,24 +246,51 @@ func (t *TCP) Send(addr string, env *wire.Envelope) error {
 	return fmt.Errorf("%w: send to %s failed after retry", ErrUnreachable, addr)
 }
 
-// flushLoop flushes every dirty pooled connection each interval — the write
-// coalescer that turns N frames per interval into one syscall per
-// destination.
-func (t *TCP) flushLoop(interval time.Duration) {
+// markDirty queues sc for the flusher's next pass and wakes it.
+func (t *TCP) markDirty(sc *sendConn) {
+	t.dirtyMu.Lock()
+	t.dirty = append(t.dirty, sc)
+	t.dirtyMu.Unlock()
+	select {
+	case t.flushWake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
+// flushLoop is the write coalescer (group commit): it sleeps until a Send
+// dirties a connection, then runs one pass. Sends that arrive during a pass
+// fill the other list and leave together in the next one.
+func (t *TCP) flushLoop() {
 	defer t.wg.Done()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
+	var spare []*sendConn
 	for {
 		select {
 		case <-t.flusherStop:
-			t.flushAll()
 			return
-		case <-ticker.C:
-			t.flushAll()
+		case <-t.flushWake:
+			spare = t.flushDirty(spare)
 		}
 	}
 }
 
+// flushDirty is one flusher pass: it swaps spare in as the dirty list,
+// flushes exactly the connections on the old one, and returns that list
+// emptied to serve as the next spare. The two lists trade places every
+// pass, so a pass allocates nothing and costs O(dirty connections).
+func (t *TCP) flushDirty(spare []*sendConn) []*sendConn {
+	t.dirtyMu.Lock()
+	scs := t.dirty
+	t.dirty = spare
+	t.dirtyMu.Unlock()
+	for _, sc := range scs {
+		sc.flush()
+	}
+	clear(scs) // drop the references until the slots are reused
+	return scs[:0]
+}
+
+// flushAll flushes every dirty pooled connection, including any on a list
+// the flusher has swapped out but not yet reached; Close uses it.
 func (t *TCP) flushAll() {
 	t.mu.Lock()
 	scs := make([]*sendConn, 0, len(t.conns))
@@ -257,16 +299,22 @@ func (t *TCP) flushAll() {
 	}
 	t.mu.Unlock()
 	for _, sc := range scs {
-		sc.mu.Lock()
-		if sc.dirty && sc.conn != nil {
-			if err := sc.bw.Flush(); err != nil {
-				sc.conn.Close()
-				sc.conn = nil
-			}
-			sc.dirty = false
-		}
-		sc.mu.Unlock()
+		sc.flush()
 	}
+}
+
+// flush writes out sc's buffered frames, if any; a failed flush drops the
+// connection so the next Send redials.
+func (sc *sendConn) flush() {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.dirty && sc.conn != nil {
+		if err := sc.bw.Flush(); err != nil {
+			sc.conn.Close()
+			sc.conn = nil
+		}
+	}
+	sc.dirty = false
 }
 
 // Request implements Transport over a short-lived connection.
@@ -328,7 +376,7 @@ func (t *TCP) Close() error {
 	t.closed = true
 	t.mu.Unlock()
 	// Push out buffered frames before tearing connections down, then stop
-	// the flusher (its shutdown flush finds nothing dirty).
+	// the flusher.
 	t.flushAll()
 	close(t.flusherStop)
 	t.mu.Lock()

@@ -27,6 +27,11 @@ var ErrClosed = errors.New("transport: closed")
 // ErrUnreachable is returned when the destination cannot be contacted.
 var ErrUnreachable = errors.New("transport: unreachable")
 
+// ErrOverloaded is returned when the destination is reachable but cannot
+// accept the envelope now (its inbound queue is full): backpressure, which
+// a caller may retry, not a dead peer.
+var ErrOverloaded = errors.New("transport: overloaded")
+
 // Copying is an optional capability: transports whose Send has fully copied
 // env.Body before returning implement it and report true. Hot-path senders
 // use it to recycle pooled encode buffers immediately after Send; on

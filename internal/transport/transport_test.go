@@ -1,14 +1,17 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bluedove/internal/core"
 	"bluedove/internal/wire"
 )
 
@@ -461,12 +464,15 @@ func TestTCPErrUnreachableClassification(t *testing.T) {
 }
 
 // TestMeshErrUnreachableClassification: the in-process mesh reports downed
-// nodes and cut links through the same sentinel.
+// nodes and cut links through the same sentinel, and a full inbound queue
+// through ErrOverloaded — backpressure, not death.
 func TestMeshErrUnreachableClassification(t *testing.T) {
 	mesh := NewMesh(0)
 	defer mesh.Close()
+	release := make(chan struct{})
+	defer close(release) // runs before mesh.Close, which drains the queue
 	a, b := mesh.Endpoint("a"), mesh.Endpoint("b")
-	if _, err := b.Listen("b", func(*wire.Envelope) *wire.Envelope { return nil }); err != nil {
+	if _, err := b.Listen("b", func(*wire.Envelope) *wire.Envelope { <-release; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	mesh.SetDown("b", true)
@@ -477,6 +483,20 @@ func TestMeshErrUnreachableClassification(t *testing.T) {
 	mesh.Partition("a", "b", true)
 	if _, err := a.Request("b", &wire.Envelope{Kind: wire.KindPoll}, 100*time.Millisecond); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("request across cut link: err = %v, want ErrUnreachable", err)
+	}
+	mesh.Partition("a", "b", false)
+
+	// b's handler blocks on its first frame, so its 4096-slot queue fills
+	// behind it and the next send is refused.
+	var err error
+	for i := 0; i < 4096+2 && err == nil; i++ {
+		err = a.Send("b", &wire.Envelope{Kind: wire.KindForward})
+	}
+	if !errors.Is(err, ErrOverloaded) {
+		t.Errorf("send into a full queue: err = %v, want ErrOverloaded", err)
+	}
+	if errors.Is(err, ErrUnreachable) {
+		t.Errorf("full queue misclassified as unreachable: %v", err)
 	}
 }
 
@@ -552,6 +572,123 @@ func TestTCPWriteCoalescing(t *testing.T) {
 	}
 	client.Close()
 	waitFor(t, func() bool { return got.Load() == 250 })
+}
+
+// TestTCPFlushOnIdle: with coalescing on, a lone frame leaves as soon as the
+// flusher is free; FlushInterval's value is never waited out.
+func TestTCPFlushOnIdle(t *testing.T) {
+	server := NewTCP()
+	defer server.Close()
+	var got atomic.Int64
+	addr, err := server.Listen("127.0.0.1:0", func(*wire.Envelope) *wire.Envelope {
+		got.Add(1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := NewTCP()
+	client.FlushInterval = time.Hour
+	defer client.Close()
+	if err := client.Send(addr, &wire.Envelope{Kind: wire.KindForward, From: 1, Body: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return got.Load() == 1 })
+}
+
+// TestTCPCoalescingConcurrentSenders: many goroutines sharing one coalescing
+// transport race Send against the flusher's dirty-list swap; every frame
+// must arrive, in order per (sender, destination).
+func TestTCPCoalescingConcurrentSenders(t *testing.T) {
+	const senders, frames, dests = 8, 2000, 2
+	var mu sync.Mutex
+	var next [dests][senders]uint32 // next sequence number expected
+	for d := range next {
+		for s := range next[d] {
+			next[d][s] = uint32(d) // sender frame i goes to destination i%dests
+		}
+	}
+	var got atomic.Int64
+	var addrs [dests]string
+	for d := 0; d < dests; d++ {
+		server := NewTCP()
+		defer server.Close()
+		addr, err := server.Listen("127.0.0.1:0", func(env *wire.Envelope) *wire.Envelope {
+			seq := binary.LittleEndian.Uint32(env.Body)
+			mu.Lock()
+			if want := next[d][env.From]; seq != want {
+				t.Errorf("dest %d sender %d: got seq %d, want %d", d, env.From, seq, want)
+			}
+			next[d][env.From] = seq + dests
+			mu.Unlock()
+			got.Add(1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[d] = addr
+	}
+
+	client := NewTCP()
+	client.FlushInterval = time.Hour
+	defer client.Close()
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < frames; i++ {
+				body := binary.LittleEndian.AppendUint32(nil, uint32(i))
+				if err := client.Send(addrs[i%dests], &wire.Envelope{Kind: wire.KindForward, From: core.NodeID(s), Body: body}); err != nil {
+					t.Errorf("sender %d frame %d: %v", s, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, func() bool { return got.Load() == senders*frames })
+}
+
+// TestTCPFlushPassAllocatesNothing pins the flusher's cost per wake-up:
+// marking a connection dirty and running a pass reuse the two dirty lists.
+func TestTCPFlushPassAllocatesNothing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		io.Copy(io.Discard, conn)
+	}()
+	tt := NewTCP() // FlushInterval 0: no flusher goroutine, the test runs the passes
+	defer tt.Close()
+	sc, err := tt.getSendConn(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, 64)
+	var spare []*sendConn
+	allocs := testing.AllocsPerRun(1000, func() {
+		sc.mu.Lock()
+		sc.bw.Write(frame)
+		sc.dirty = true
+		sc.mu.Unlock()
+		tt.markDirty(sc)
+		spare = tt.flushDirty(spare)
+	})
+	if allocs != 0 {
+		t.Errorf("mark + flush pass: %v allocs, want 0", allocs)
+	}
+	if sc.conn == nil {
+		t.Fatal("flush failed and dropped the connection")
+	}
 }
 
 // TestSendCopies pins the Copying capability: TCP copies bodies on Send (so
