@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -580,5 +581,69 @@ func TestPersistentForwardingSurvivesCrash(t *testing.T) {
 	}
 	if retrans == 0 {
 		t.Error("crash under load should have caused retransmissions")
+	}
+}
+
+// A cluster booted with default Options matches on the bucket index the
+// option's comment promises: a stab examines a narrow window of the set it
+// searches, where a scan would examine every stored copy.
+func TestDefaultOptionsMatchOnBucketIndex(t *testing.T) {
+	c, err := Start(fastOptions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitForTable(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rec := newRecorder()
+	cl, err := c.NewClient(0, rec.onDeliver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nsubs, npubs, width = 2000, 200, 10.0
+	rng := rand.New(rand.NewSource(1))
+	centers := make([][]float64, nsubs)
+	copies := 0
+	for i := range centers {
+		preds := make([]core.Range, 4)
+		centers[i] = make([]float64, 4)
+		for d := range preds {
+			lo := rng.Float64() * (1000 - width)
+			preds[d] = core.Range{Low: lo, High: lo + width}
+			centers[i][d] = lo + width/2
+		}
+		if _, err := cl.Subscribe(preds); err != nil {
+			t.Fatal(err)
+		}
+		copies += len(placement.BlueDove{}.Assign(c.Table(), core.NewSubscription(0, preds)))
+	}
+	ids := c.MatcherIDs()
+	stored := func() int {
+		n := 0
+		for _, id := range ids {
+			for d := 0; d < 4; d++ {
+				n += c.Matcher(id).SubsOnDim(d)
+			}
+		}
+		return n
+	}
+	waitFor(t, 10*time.Second, func() bool { return stored() == copies })
+	// Each publication sits at a subscription's center, so it is delivered.
+	for i := 0; i < npubs; i++ {
+		if err := cl.Publish(centers[i*(nsubs/npubs)], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, func() bool { return rec.count() == npubs })
+	var scanned, processed int64
+	for _, id := range ids {
+		scanned += c.Matcher(id).Scanned.Value()
+		processed += c.Matcher(id).Processed.Value()
+	}
+	perSet := float64(copies) / float64(4*len(ids))
+	if perMsg := float64(scanned) / float64(processed); perMsg*4 >= perSet {
+		t.Fatalf("matchers examined %.1f subscriptions per message; a (matcher, dimension) set holds %.1f copies on average, want under a quarter",
+			perMsg, perSet)
 	}
 }

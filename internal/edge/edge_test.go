@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bluedove/internal/core"
+	"bluedove/internal/index"
 	"bluedove/internal/transport"
 	"bluedove/internal/wire"
 )
@@ -845,5 +846,35 @@ func TestPolicyByName(t *testing.T) {
 	}
 	if _, err := PolicyByName("bogus"); err == nil {
 		t.Fatal("bogus policy accepted")
+	}
+}
+
+// A Config that leaves IndexKind unset re-matches sessions on the bucket
+// index its comment promises, wrapped in covering unless NoCovering.
+func TestEdgeDefaultIndexIsBucket(t *testing.T) {
+	mesh := transport.NewMesh(0)
+	defer mesh.Close()
+	for _, noCovering := range []bool{true, false} {
+		e, err := New(Config{ID: 9, Space: core.UniformSpace(2, 100), Transport: mesh.Endpoint("edge"),
+			DispatcherAddr: "disp", NoCovering: noCovering})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, isBucket := e.idx.(*index.Bucket)
+		_, isCovering := e.idx.(*index.Covering)
+		if noCovering != isBucket || noCovering == isCovering {
+			t.Fatalf("NoCovering=%v: table is %T", noCovering, e.idx)
+		}
+		// Disjoint one-unit predicates: covering collapses nothing, so a stab
+		// examines what the base index examines — a scan would examine all.
+		for i := 0; i < 100; i++ {
+			s := core.NewSubscription(core.SubscriberID(i+1), []core.Range{
+				{Low: float64(i), High: float64(i) + 1}, {Low: 0, High: 100}})
+			s.ID = core.SubscriptionID(i + 1)
+			e.idx.Add(s)
+		}
+		if got, scanned := e.idx.Stab(50.5, nil); len(got) != 1 || scanned*4 > e.idx.Len() {
+			t.Fatalf("NoCovering=%v: stab found %d, examined %d of %d", noCovering, len(got), scanned, e.idx.Len())
+		}
 	}
 }

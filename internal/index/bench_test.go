@@ -51,6 +51,17 @@ func BenchmarkMatch(b *testing.B) {
 	}
 }
 
+// paperSub returns a subscription with a paper-width (250 of 1000) predicate
+// on dimension 0 and full ranges elsewhere.
+func paperSub(rng *rand.Rand, id core.SubscriptionID) *core.Subscription {
+	lo := rng.Float64() * 750
+	s := core.NewSubscription(1, []core.Range{
+		{Low: lo, High: lo + 250}, {Low: 0, High: 1000},
+		{Low: 0, High: 1000}, {Low: 0, High: 1000}})
+	s.ID = id
+	return s
+}
+
 func BenchmarkAdd(b *testing.B) {
 	sp := core.UniformSpace(4, 1000)
 	for _, kind := range []Kind{KindScan, KindBucket, KindIntervalTree} {
@@ -59,12 +70,36 @@ func BenchmarkAdd(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				lo := rng.Float64() * 750
-				s := core.NewSubscription(1, []core.Range{
-					{Low: lo, High: lo + 250}, {Low: 0, High: 1000},
-					{Low: 0, High: 1000}, {Low: 0, High: 1000}})
-				s.ID = core.SubscriptionID(i + 1)
-				idx.Add(s)
+				idx.Add(paperSub(rng, core.SubscriptionID(i+1)))
+			}
+		})
+	}
+}
+
+// BenchmarkRemove drains a 10k-entry index of paper-width subscriptions in
+// random order, refilling it (untimed) whenever it empties.
+func BenchmarkRemove(b *testing.B) {
+	const n = 10000
+	sp := core.UniformSpace(4, 1000)
+	rng := rand.New(rand.NewSource(1))
+	subs := make([]*core.Subscription, n)
+	for i := range subs {
+		subs[i] = paperSub(rng, core.SubscriptionID(i+1))
+	}
+	order := rng.Perm(n)
+	for _, kind := range []Kind{KindScan, KindBucket, KindIntervalTree} {
+		b.Run(kind.String(), func(b *testing.B) {
+			idx := New(kind, sp, 0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%n == 0 {
+					b.StopTimer()
+					for _, s := range subs {
+						idx.Add(s)
+					}
+					b.StartTimer()
+				}
+				idx.Remove(subs[order[i%n]].ID)
 			}
 		})
 	}

@@ -10,24 +10,47 @@ import (
 const DefaultBuckets = 256
 
 // wideThreshold is the fraction of the dimension extent above which an
-// interval is stored in the overflow list rather than registered in every
-// bucket it spans. This bounds per-subscription memory to O(threshold *
-// buckets) entries.
+// interval is stored in the overflow list rather than in a bucket. It bounds
+// the backward window every stab scans (maxSpan) to a quarter of the
+// buckets.
 const wideThreshold = 0.25
 
-// Bucket divides the dimension's value set into fixed-width buckets; each
-// stored interval is registered in every bucket it overlaps. Intervals wider
-// than a quarter of the dimension extent live in an overflow list that every
-// query scans. Stabbing cost is the size of one bucket plus the overflow
-// list — far below Len() when predicate ranges are narrow, as in the paper's
-// workload (range 250 of 1000).
+// Bucket divides the dimension's value set into fixed-width buckets and
+// stores each narrow interval once, in the bucket of its (clipped) Low.
+// maxSpan records how many buckets past its first any stored narrow interval
+// has reached, so a stab at v scans the buckets [b(v)-maxSpan, b(v)]: every
+// interval containing v starts in one of them. Intervals wider than a quarter
+// of the extent (or lying wholly outside it) live in an overflow list that
+// every query scans.
+//
+// On a set of one predicate width the window is that width rounded up to
+// whole buckets plus one bucket, less than a bucket more than the starts of
+// the intervals that can contain v; for the paper's workload (range 250 of
+// 1000, 64 buckets exactly) stabbing cost is about the answer size plus the
+// overflow list. A set mixing widths pays the widest narrow interval's window
+// for every entry: a stab examines every narrow entry starting within maxSpan
+// buckets of v, at most those in a window of 25 % of the extent. maxSpan
+// never shrinks.
+//
+// Buckets hold int32 slots into a slab (subscription, its predicate on the
+// indexed dimension, and a free list), so the stab filter reads the predicate
+// without dereferencing the subscription and the buckets hold no pointers.
+// Add and Remove touch one bucket.
 type Bucket struct {
 	dim     int
 	d       core.Dimension
 	width   float64
-	buckets [][]*core.Subscription
-	wide    []*core.Subscription
-	entries map[core.SubscriptionID]*core.Subscription
+	buckets [][]int32
+	wide    []int32
+	maxSpan int
+
+	// The slab, indexed by slot. subs[i] is nil for a free slot; pos[i] is
+	// slot i's position in its bucket (or the overflow list).
+	subs   []*core.Subscription
+	ranges []core.Range
+	pos    []int32
+	free   []int32
+	slot   map[core.SubscriptionID]int32
 }
 
 var _ Index = (*Bucket)(nil)
@@ -42,8 +65,8 @@ func NewBucket(d core.Dimension, dim, n int) *Bucket {
 		dim:     dim,
 		d:       d,
 		width:   d.Extent() / float64(n),
-		buckets: make([][]*core.Subscription, n),
-		entries: make(map[core.SubscriptionID]*core.Subscription),
+		buckets: make([][]int32, n),
+		slot:    make(map[core.SubscriptionID]int32),
 	}
 }
 
@@ -51,7 +74,7 @@ func NewBucket(d core.Dimension, dim, n int) *Bucket {
 func (x *Bucket) Dim() int { return x.dim }
 
 // Len returns the number of stored subscriptions.
-func (x *Bucket) Len() int { return len(x.entries) }
+func (x *Bucket) Len() int { return len(x.slot) }
 
 // bucketOf maps a value (clamped to the dimension) to a bucket number.
 func (x *Bucket) bucketOf(v float64) int {
@@ -67,18 +90,20 @@ func (x *Bucket) bucketOf(v float64) int {
 }
 
 // span returns the inclusive bucket range covered by interval r clipped to
-// the dimension, plus whether the interval counts as wide.
+// the dimension, or wide when r belongs in the overflow list.
 func (x *Bucket) span(r core.Range) (lo, hi int, wide bool) {
 	clipped := r.Intersect(core.Range{Low: x.d.Min, High: x.d.Max})
 	if clipped.Empty() {
-		return 0, -1, false // registers nowhere; unreachable for validated subscriptions
+		// Wholly outside the dimension: only out-of-dimension values can
+		// stab it, so it goes where every query looks.
+		return 0, 0, true
 	}
 	// The tolerance keeps intervals sitting exactly on the threshold out of
 	// the overflow list when float arithmetic nudges their length up by an
 	// ulp (lo + 0.25*extent - lo can exceed 0.25*extent): every such
 	// interval would otherwise be scanned by every query.
 	if clipped.Length() > wideThreshold*x.d.Extent()*(1+1e-9) {
-		return 0, -1, true
+		return 0, 0, true
 	}
 	lo = x.bucketOf(clipped.Low)
 	// High is exclusive; nextafter below keeps an interval ending exactly on
@@ -87,113 +112,116 @@ func (x *Bucket) span(r core.Range) (lo, hi int, wide bool) {
 	return lo, hi, false
 }
 
-// Add inserts or replaces a subscription.
-func (x *Bucket) Add(s *core.Subscription) {
-	if _, ok := x.entries[s.ID]; ok {
-		x.Remove(s.ID)
-	}
-	x.entries[s.ID] = s
-	lo, hi, wide := x.span(s.Predicates[x.dim])
+// list returns the bucket (or the overflow list) that stores predicate r and
+// how many buckets past that one r reaches.
+func (x *Bucket) list(r core.Range) (l *[]int32, reach int) {
+	lo, hi, wide := x.span(r)
 	if wide {
-		x.wide = append(x.wide, s)
-		return
+		return &x.wide, 0
 	}
-	for b := lo; b <= hi; b++ {
-		x.buckets[b] = append(x.buckets[b], s)
-	}
+	return &x.buckets[lo], hi - lo
 }
 
-func removeFrom(list []*core.Subscription, id core.SubscriptionID) []*core.Subscription {
-	for i, s := range list {
-		if s.ID == id {
-			last := len(list) - 1
-			list[i] = list[last]
-			list[last] = nil
-			return list[:last]
-		}
+// Add inserts or replaces a subscription.
+func (x *Bucket) Add(s *core.Subscription) {
+	x.Remove(s.ID)
+	r := s.Predicates[x.dim]
+	var i int32
+	if n := len(x.free); n > 0 {
+		i = x.free[n-1]
+		x.free = x.free[:n-1]
+		x.subs[i], x.ranges[i] = s, r
+	} else {
+		i = int32(len(x.subs))
+		x.subs = append(x.subs, s)
+		x.ranges = append(x.ranges, r)
+		x.pos = append(x.pos, 0)
 	}
-	return list
+	x.slot[s.ID] = i
+	l, reach := x.list(r)
+	x.maxSpan = max(x.maxSpan, reach)
+	x.pos[i] = int32(len(*l))
+	*l = append(*l, i)
 }
 
 // Remove deletes the subscription with the given ID.
 func (x *Bucket) Remove(id core.SubscriptionID) bool {
-	s, ok := x.entries[id]
+	i, ok := x.slot[id]
 	if !ok {
 		return false
 	}
-	delete(x.entries, id)
-	lo, hi, wide := x.span(s.Predicates[x.dim])
-	if wide {
-		x.wide = removeFrom(x.wide, id)
-		return true
-	}
-	for b := lo; b <= hi; b++ {
-		x.buckets[b] = removeFrom(x.buckets[b], id)
-	}
+	delete(x.slot, id)
+	l, _ := x.list(x.ranges[i])
+	last := int32(len(*l) - 1)
+	moved := (*l)[last]
+	(*l)[x.pos[i]] = moved
+	x.pos[moved] = x.pos[i]
+	*l = (*l)[:last]
+	x.subs[i], x.ranges[i] = nil, core.Range{}
+	x.free = append(x.free, i)
 	return true
 }
 
-// Stab returns the subscriptions containing v on Dim. Cost is the bucket of
-// v plus the wide-interval overflow list.
-func (x *Bucket) Stab(v float64, dst []*core.Subscription) ([]*core.Subscription, int) {
-	if !x.d.Contains(v) {
-		// Out-of-dimension values can still hit wide (unclipped) predicates.
-		for _, s := range x.wide {
-			if s.Predicates[x.dim].Contains(v) {
-				dst = append(dst, s)
-			}
+// appendContaining appends the subscriptions in slots whose predicate
+// contains v.
+func (x *Bucket) appendContaining(dst []*core.Subscription, slots []int32, v float64) []*core.Subscription {
+	ranges := x.ranges
+	for _, i := range slots {
+		if ranges[i].Contains(v) {
+			dst = append(dst, x.subs[i])
 		}
-		return dst, len(x.wide)
-	}
-	b := x.buckets[x.bucketOf(v)]
-	for _, s := range b {
-		if s.Predicates[x.dim].Contains(v) {
-			dst = append(dst, s)
-		}
-	}
-	for _, s := range x.wide {
-		if s.Predicates[x.dim].Contains(v) {
-			dst = append(dst, s)
-		}
-	}
-	return dst, len(b) + len(x.wide)
-}
-
-// Overlapping returns subscriptions whose predicate on Dim overlaps r.
-func (x *Bucket) Overlapping(r core.Range, dst []*core.Subscription) []*core.Subscription {
-	seen := make(map[core.SubscriptionID]bool)
-	emit := func(s *core.Subscription) {
-		if !seen[s.ID] && s.Predicates[x.dim].Overlaps(r) {
-			seen[s.ID] = true
-			dst = append(dst, s)
-		}
-	}
-	clipped := r.Intersect(core.Range{Low: x.d.Min, High: x.d.Max})
-	if !clipped.Empty() {
-		lo := x.bucketOf(clipped.Low)
-		hi := x.bucketOf(math.Nextafter(clipped.High, clipped.Low))
-		for b := lo; b <= hi; b++ {
-			for _, s := range x.buckets[b] {
-				emit(s)
-			}
-		}
-	}
-	for _, s := range x.wide {
-		emit(s)
 	}
 	return dst
 }
 
-// All appends every stored subscription to dst.
+// appendOverlapping appends the subscriptions in slots whose predicate
+// overlaps r.
+func (x *Bucket) appendOverlapping(dst []*core.Subscription, slots []int32, r core.Range) []*core.Subscription {
+	for _, i := range slots {
+		if x.ranges[i].Overlaps(r) {
+			dst = append(dst, x.subs[i])
+		}
+	}
+	return dst
+}
+
+// Stab returns the subscriptions containing v on Dim. Cost is the buckets
+// [b(v)-maxSpan, b(v)] plus the overflow list; values outside the dimension
+// clamp to its first or last bucket, where overhanging intervals start.
+func (x *Bucket) Stab(v float64, dst []*core.Subscription) ([]*core.Subscription, int) {
+	hi := x.bucketOf(v)
+	scanned := len(x.wide)
+	for _, b := range x.buckets[max(hi-x.maxSpan, 0) : hi+1] {
+		scanned += len(b)
+		dst = x.appendContaining(dst, b, v)
+	}
+	return x.appendContaining(dst, x.wide, v), scanned
+}
+
+// Overlapping returns subscriptions whose predicate on Dim overlaps r. Every
+// entry is stored once, so the scan emits no duplicates.
+func (x *Bucket) Overlapping(r core.Range, dst []*core.Subscription) []*core.Subscription {
+	lo := max(x.bucketOf(r.Low)-x.maxSpan, 0)
+	hi := x.bucketOf(math.Nextafter(r.High, math.Inf(-1)))
+	for b := lo; b <= hi; b++ {
+		dst = x.appendOverlapping(dst, x.buckets[b], r)
+	}
+	return x.appendOverlapping(dst, x.wide, r)
+}
+
+// All appends every stored subscription to dst in slot order, which depends
+// only on the sequence of Adds and Removes.
 func (x *Bucket) All(dst []*core.Subscription) []*core.Subscription {
-	for _, s := range x.entries {
-		dst = append(dst, s)
+	for _, s := range x.subs {
+		if s != nil {
+			dst = append(dst, s)
+		}
 	}
 	return dst
 }
 
 // Contains reports whether a subscription with the given ID is stored.
 func (x *Bucket) Contains(id core.SubscriptionID) bool {
-	_, ok := x.entries[id]
+	_, ok := x.slot[id]
 	return ok
 }

@@ -6,6 +6,76 @@ import (
 	"bluedove/internal/core"
 )
 
+// FuzzBucketAddRemove drives a raw bucket index (no covering) through an
+// add/remove/re-add/stab/overlap sequence decoded from the fuzz input and
+// checks every answer, Len and All against a brute-force scan oracle. The 16
+// buckets over a 256-wide dimension make widths from sub-bucket to wide, and
+// intervals hanging over either end, reachable from a few bytes.
+func FuzzBucketAddRemove(f *testing.F) {
+	f.Add([]byte{0x01, 0x40, 0x05, 0x10, 0x83, 0x50, 0x02, 0x00})
+	f.Add([]byte{0xfd, 0x02, 0x41, 0xf8, 0x06, 0x01, 0x03, 0xff, 0x07, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp := core.UniformSpace(1, 256)
+		ref, x := NewScan(0), NewBucket(sp.Dim(0), 0, 16)
+		nextID := core.SubscriptionID(1)
+		var live []core.SubscriptionID
+		add := func(id core.SubscriptionID, op byte, arg float64) {
+			// Width from op's high bits, quadratic so both a fraction of a
+			// bucket and more than a quarter of the extent occur; the low
+			// end may sit below 0 or the high end past 256.
+			w := float64(op>>3)*float64(op>>3)/4 + 0.25
+			s := core.NewSubscription(core.SubscriberID(id), []core.Range{{Low: arg - 8, High: arg - 8 + w}})
+			s.ID = id
+			ref.Add(s)
+			x.Add(s)
+		}
+		for i := 0; i+1 < len(data); i += 2 {
+			op, arg := data[i], float64(data[i+1])
+			switch op % 4 {
+			case 0, 1:
+				live = append(live, nextID)
+				add(nextID, op, arg)
+				nextID++
+			case 2: // remove, or re-add with a new predicate
+				if len(live) == 0 {
+					continue
+				}
+				k := int(arg) % len(live)
+				if op&4 != 0 {
+					add(live[k], op, arg)
+					continue
+				}
+				id := live[k]
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+				if ref.Remove(id) != x.Remove(id) {
+					t.Fatalf("Remove(%v) presence mismatch", id)
+				}
+			case 3:
+				v := arg - 8 + float64(op>>2)/64
+				want, _ := ref.Stab(v, nil)
+				got, scanned := x.Stab(v, nil)
+				if !sameIDs(ids(got), ids(want)) {
+					t.Fatalf("Stab(%g) = %v, want %v", v, ids(got), ids(want))
+				}
+				if scanned < len(got) {
+					t.Fatalf("scanned %d < |answer| %d", scanned, len(got))
+				}
+				r := core.Range{Low: v - 3, High: v + float64(op>>4) + 1}
+				if !sameIDs(ids(x.Overlapping(r, nil)), ids(ref.Overlapping(r, nil))) {
+					t.Fatalf("Overlapping(%v) mismatch", r)
+				}
+			}
+			if x.Len() != ref.Len() {
+				t.Fatalf("Len drift: bucket %d, oracle %d", x.Len(), ref.Len())
+			}
+		}
+		if !sameIDs(ids(x.All(nil)), ids(ref.All(nil))) {
+			t.Fatal("All mismatch after sequence")
+		}
+	})
+}
+
 // FuzzCoveringAddRemove drives a covering-wrapped bucket index through an
 // arbitrary add/remove/stab/overlap sequence decoded from the fuzz input and
 // checks every answer against a brute-force scan oracle. The cover table's

@@ -11,9 +11,14 @@
 //   - Scan: brute-force over all stored subscriptions. The reference
 //     implementation used for correctness testing and as the cost model for
 //     the full-replication baseline.
-//   - Bucket: the dimension extent is divided into fixed-width buckets; an
-//     interval is registered in every bucket it overlaps (wide intervals go
-//     to an always-scanned overflow list).
+//   - Bucket (the zero Kind): the dimension extent is divided into
+//     fixed-width buckets; each interval is stored once, in the bucket of
+//     its low end, and a stab scans back over as many buckets as the widest
+//     stored interval spans (intervals wider than a quarter of the extent go
+//     to an always-scanned overflow list). On a set of one predicate width
+//     that window reaches less than one bucket past the intervals that can
+//     contain the value; a set mixing widths scans every narrow entry
+//     starting in the widest one's window.
 //   - IntervalTree: a centered interval tree rebuilt lazily after batches of
 //     updates.
 //
@@ -58,12 +63,13 @@ type Index interface {
 // Kind selects an Index implementation.
 type Kind uint8
 
-// Available index kinds.
+// Available index kinds. The zero value is the bucket index, so a config that
+// leaves its kind unset gets it.
 const (
-	// KindScan is the brute-force reference index.
-	KindScan Kind = iota
 	// KindBucket is the fixed-width bucket index.
-	KindBucket
+	KindBucket Kind = iota
+	// KindScan is the brute-force reference index.
+	KindScan
 	// KindIntervalTree is the centered interval tree.
 	KindIntervalTree
 )

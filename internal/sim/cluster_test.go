@@ -7,6 +7,7 @@ import (
 
 	"bluedove/internal/core"
 	"bluedove/internal/forward"
+	"bluedove/internal/index"
 	"bluedove/internal/placement"
 	"bluedove/internal/workload"
 )
@@ -16,6 +17,9 @@ func testConfig(matchers int) Config {
 		Space:    core.UniformSpace(4, 1000),
 		Matchers: matchers,
 		Seed:     7,
+		// The costs below, and the elastic tests' load ramps, are calibrated
+		// to a full scan of each set.
+		IndexKind: index.KindScan,
 		// Inflated matching costs keep test capacities (and therefore event
 		// counts) small; behaviour under test is cost-scale invariant.
 		BaseMatchCost: 200 * time.Microsecond,

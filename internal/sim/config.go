@@ -59,8 +59,8 @@ type Config struct {
 	Strategy placement.Strategy
 	// Policy is the forwarding policy (default forward.Adaptive{}).
 	Policy forward.Policy
-	// IndexKind selects the per-dimension matcher index (zero value:
-	// index.KindScan).
+	// IndexKind selects the per-dimension matcher index, and with it the
+	// scanned count the cost model charges (zero value: index.KindBucket).
 	IndexKind index.Kind
 
 	// BaseMatchCost is the fixed per-message matching overhead

@@ -202,8 +202,9 @@ func (m *simMatcher) probeService(dim int) float64 {
 	if idx.Len() == 0 {
 		return base
 	}
-	// All ranges over a map for the bucket index; probe in ID order so a seed
-	// replays the same first reports and routing.
+	// All's order follows the index's own layout (slot reuse after churn for
+	// the bucket index); probe in ID order so the first reports and routing
+	// depend only on the stored set.
 	subs := idx.All(nil)
 	sort.Slice(subs, func(i, j int) bool { return subs[i].ID < subs[j].ID })
 	total, probes := 0, 0

@@ -23,6 +23,9 @@ func TestForwardBatchEncodeUntracedZeroAlloc(t *testing.T) {
 		buf.B = body.AppendTo(buf.B)
 		PutBuf(buf)
 	})
+	if raceEnabled {
+		t.Skipf("untraced encode made %.1f allocs/frame: under -race sync.Pool drops pooled buffers, so the 0-alloc pin only holds without it", allocs)
+	}
 	if allocs != 0 {
 		t.Fatalf("untraced %d-msg batch encode: %.1f allocs/frame, want 0", batch, allocs)
 	}
@@ -46,6 +49,9 @@ func TestForwardBatchEncodeTracedZeroAlloc(t *testing.T) {
 		buf.B = body.AppendTo(buf.B)
 		PutBuf(buf)
 	})
+	if raceEnabled {
+		t.Skipf("traced encode made %.1f allocs/frame: under -race sync.Pool drops pooled buffers, so the 0-alloc pin only holds without it", allocs)
+	}
 	if allocs != 0 {
 		t.Fatalf("traced %d-msg batch encode: %.1f allocs/frame, want 0", batch, allocs)
 	}
