@@ -117,6 +117,56 @@ func TestEndToEndDirectDelivery(t *testing.T) {
 	}
 }
 
+// A publication with the wrong number of attributes is refused at the
+// dispatcher, with an error for an ack client and silently for a
+// fire-and-forget one, and the dispatcher keeps serving valid publications.
+func TestPublishWrongArityRejected(t *testing.T) {
+	c, err := Start(fastOptions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitForTable(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rec := newRecorder()
+	subCl, err := c.NewClient(0, rec.onDeliver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := subCl.Subscribe([]core.Range{
+		{Low: 0, High: 1000}, {Low: 0, High: 1000}, {Low: 0, High: 1000}, {Low: 0, High: 1000},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond) // let stores land
+
+	ackCl, err := c.NewAckClient(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fireCl, err := c.NewClient(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, attrs := range [][]float64{{1, 2}, {1, 2, 3, 4, 5}} {
+		if err := ackCl.Publish(attrs, nil); err == nil {
+			t.Fatalf("ack publish of %d attributes on a 4-dimension space succeeded", len(attrs))
+		}
+		if err := fireCl.Publish(attrs, nil); err != nil {
+			t.Fatalf("fire-and-forget publish: %v", err)
+		}
+	}
+	if err := ackCl.Publish([]float64{250, 500, 500, 500}, []byte("valid")); err != nil {
+		t.Fatalf("valid publish after the rejected ones: %v", err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return rec.count() >= 1 })
+	time.Sleep(200 * time.Millisecond)
+	if got := rec.count(); got != 1 {
+		t.Fatalf("delivered %d distinct messages, want only the valid one", got)
+	}
+}
+
 func TestEndToEndIndirectPolling(t *testing.T) {
 	c, err := Start(fastOptions(3))
 	if err != nil {

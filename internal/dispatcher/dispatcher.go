@@ -529,12 +529,12 @@ func (d *Dispatcher) handle(env *wire.Envelope) *wire.Envelope {
 		}
 		return nil
 	case wire.KindPublish:
-		if b, err := wire.DecodePublish(env.Body); err == nil {
+		if b, err := d.decodePublish(env.Body); err == nil {
 			d.handlePublish(b.Msg, false)
 		}
 		return nil
 	case wire.KindPublishReq:
-		b, err := wire.DecodePublish(env.Body)
+		b, err := d.decodePublish(env.Body)
 		if err != nil {
 			return errEnv(d.cfg.ID, err)
 		}
@@ -636,6 +636,20 @@ func (d *Dispatcher) handle(env *wire.Envelope) *wire.Envelope {
 	default:
 		return nil
 	}
+}
+
+// decodePublish decodes a publish body and rejects a message whose attribute
+// count is not the space's dimension count: partitioning and matching index
+// the attributes by dimension. Values outside a dimension are accepted.
+func (d *Dispatcher) decodePublish(body []byte) (*wire.PublishBody, error) {
+	b, err := wire.DecodePublish(body)
+	if err != nil {
+		return nil, err
+	}
+	if n, k := len(b.Msg.Attrs), d.cfg.Space.K(); n != k {
+		return nil, fmt.Errorf("dispatcher: publication has %d attributes, space has %d dimensions", n, k)
+	}
+	return b, nil
 }
 
 func errEnv(from core.NodeID, err error) *wire.Envelope {

@@ -197,14 +197,23 @@ type Edge struct {
 	listenAddr string
 
 	// mu guards the subscription table, the session map and token/ID
-	// assignment. Per-session buffers use the session's own lock so a slow
-	// consumer never blocks matching.
-	mu       sync.Mutex
+	// assignment. Re-matching and session lookups only read them and take
+	// mu shared, so an ack never waits behind a re-match. Per-session
+	// buffers use the session's own lock so a slow consumer never blocks
+	// matching.
+	mu       sync.RWMutex
 	idx      index.Index
 	sessions map[uint64]*session
 	nextTok  uint64
 	nextSub  uint64
 	closed   bool
+	// fanOutMsg's re-match buffers, reused across publications and cleared
+	// after each so they pin no subscription or session. fanMu guards them;
+	// in steady state only the fan-in worker takes it.
+	fanMu   sync.Mutex
+	matched []*core.Subscription
+	cands   []*core.Subscription
+	perSess map[uint64]int
 
 	// aggMu serializes upstream (re-)registration of the aggregated
 	// subscriber; agg is the current bounding cuboid (nil before the first
@@ -350,6 +359,7 @@ func New(cfg Config) (*Edge, error) {
 		cfg:      cfg,
 		idx:      idx,
 		sessions: make(map[uint64]*session),
+		perSess:  make(map[uint64]int, 8),
 		stop:     make(chan struct{}),
 		arrival:  metrics.NewRateMeter(2*time.Second, 20),
 		service:  metrics.NewRateMeter(2*time.Second, 20),
@@ -595,9 +605,9 @@ func (e *Edge) hello(b *wire.SessionHelloBody, sink func(*wire.Envelope)) (*wire
 		return &wire.SessionWelcomeBody{Token: s.token, NextSeq: 1}, nil
 	}
 
-	e.mu.Lock()
+	e.mu.RLock()
 	s, ok := e.sessions[b.Token]
-	e.mu.Unlock()
+	e.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("edge: unknown session token %d", b.Token)
 	}
@@ -667,13 +677,13 @@ func (e *Edge) subscribe(token uint64, sub *core.Subscription) (core.Subscriptio
 	if err := sub.Validate(e.cfg.Space); err != nil {
 		return 0, err
 	}
-	e.mu.Lock()
+	e.mu.RLock()
 	s, ok := e.sessions[token]
 	if !ok || e.closed {
-		e.mu.Unlock()
+		e.mu.RUnlock()
 		return 0, fmt.Errorf("edge: unknown session token %d", token)
 	}
-	e.mu.Unlock()
+	e.mu.RUnlock()
 
 	// Widen the upstream aggregate BEFORE exposing the subscription: once
 	// the sub-ack returns, matching publications are guaranteed to reach
@@ -786,9 +796,9 @@ func (e *Edge) widen(preds []core.Range) error {
 // ack advances a session's cumulative ack, freeing ring space (and with it
 // the flight window that gates flushing).
 func (e *Edge) ack(token uint64, seq uint64) {
-	e.mu.Lock()
+	e.mu.RLock()
 	s, ok := e.sessions[token]
-	e.mu.Unlock()
+	e.mu.RUnlock()
 	if !ok {
 		return
 	}
@@ -823,9 +833,9 @@ func (e *Edge) trimAckedLocked(s *session) {
 // (chaos/bench hook): buffered deliveries move to the resume ring and the
 // session stops being flushed until it resumes.
 func (e *Edge) Detach(token uint64) bool {
-	e.mu.Lock()
+	e.mu.RLock()
 	s, ok := e.sessions[token]
-	e.mu.Unlock()
+	e.mu.RUnlock()
 	if !ok {
 		return false
 	}
@@ -876,9 +886,9 @@ func (e *Edge) CloseSession(token uint64) bool { return e.closeSession(token, fa
 // earlier — the expiry path, re-checked under the session lock so a
 // concurrent resume wins the race.
 func (e *Edge) closeSession(token uint64, expireOnly bool, expireBefore int64) bool {
-	e.mu.Lock()
+	e.mu.RLock()
 	s, ok := e.sessions[token]
-	e.mu.Unlock()
+	e.mu.RUnlock()
 	if !ok {
 		return false
 	}
@@ -959,7 +969,7 @@ func (e *Edge) sweepExpired(now int64) int {
 // fanOutMsg re-matches one upstream publication against the per-edge table
 // and appends the encoded delivery to every matching session's buffer.
 func (e *Edge) fanOutMsg(msg *core.Message) {
-	if msg == nil {
+	if msg == nil || len(msg.Attrs) != e.cfg.Space.K() {
 		return
 	}
 	e.fanIn.Add(1)
@@ -968,30 +978,33 @@ func (e *Edge) fanOutMsg(msg *core.Message) {
 		ids []core.SubscriptionID
 	}
 	var targets []target
-	e.mu.Lock()
+	e.fanMu.Lock()
+	e.mu.RLock()
 	if e.closed {
-		e.mu.Unlock()
+		e.mu.RUnlock()
+		e.fanMu.Unlock()
 		return
 	}
-	matched, _, _ := index.Match(e.idx, msg, nil, nil)
-	if len(matched) > 0 {
-		perSess := make(map[uint64]int, 8)
-		for _, sub := range matched {
-			tok := uint64(sub.Subscriber)
-			i, ok := perSess[tok]
-			if !ok {
-				s := e.sessions[tok]
-				if s == nil {
-					continue
-				}
-				perSess[tok] = len(targets)
-				targets = append(targets, target{s: s})
-				i = len(targets) - 1
+	e.matched, e.cands, _ = index.Match(e.idx, msg, e.matched[:0], e.cands)
+	for _, sub := range e.matched {
+		tok := uint64(sub.Subscriber)
+		i, ok := e.perSess[tok]
+		if !ok {
+			s := e.sessions[tok]
+			if s == nil {
+				continue
 			}
-			targets[i].ids = append(targets[i].ids, sub.ID)
+			e.perSess[tok] = len(targets)
+			targets = append(targets, target{s: s})
+			i = len(targets) - 1
 		}
+		targets[i].ids = append(targets[i].ids, sub.ID)
 	}
-	e.mu.Unlock()
+	clear(e.matched)
+	clear(e.cands)
+	clear(e.perSess)
+	e.mu.RUnlock()
+	e.fanMu.Unlock()
 	now := e.cfg.Now()
 	for _, t := range targets {
 		e.append(t.s, msg, t.ids, now)

@@ -1,7 +1,9 @@
 package index
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"bluedove/internal/core"
@@ -100,6 +102,187 @@ func TestBucketMixedWidthEquivalence(t *testing.T) {
 	if x.maxSpan > int(wideThreshold*DefaultBuckets)+1 {
 		t.Fatalf("maxSpan %d exceeds the wide threshold's %d buckets", x.maxSpan, int(wideThreshold*DefaultBuckets))
 	}
+}
+
+// stabVerify is Match's generic path run on a bucket index: stab on Dim,
+// then verify the other dimensions.
+func stabVerify(x *Bucket, m *core.Message) ([]*core.Subscription, int) {
+	cands, scanned := x.Stab(m.Attrs[x.Dim()], nil)
+	var out []*core.Subscription
+	for _, s := range cands {
+		if s.MatchesExcept(m, x.Dim()) {
+			out = append(out, s)
+		}
+	}
+	return out, scanned
+}
+
+// The fused match returns exactly what stab + verify returns on the same
+// index — the same subscriptions in the same order, with the same scanned
+// count — under churn that mixes widths on the indexed dimension (sub-bucket,
+// one bucket, exactly and just over the wide threshold, overhanging either
+// end, wholly outside), reuses slots and re-adds live IDs, probed with
+// attributes inside, outside and NaN on every dimension.
+func TestBucketMatchEqualsStabVerify(t *testing.T) {
+	const extent = 1000.0
+	oneBucket := extent / DefaultBuckets
+	widths := []float64{0.5, oneBucket, wideThreshold * extent, wideThreshold*extent + 0.001}
+	for dim := 0; dim < testSpace.K(); dim++ {
+		rng := rand.New(rand.NewSource(int64(21 + dim)))
+		indexed := func() core.Range {
+			switch rng.Intn(8) {
+			case 0: // overhangs Min
+				hi := rng.Float64() * 60
+				return core.Range{Low: hi - 10 - rng.Float64()*100, High: hi}
+			case 1: // overhangs Max
+				lo := extent - rng.Float64()*60
+				return core.Range{Low: lo, High: lo + 10 + rng.Float64()*100}
+			case 2: // wholly outside, below or above
+				if rng.Intn(2) == 0 {
+					return core.Range{Low: -300, High: -100}
+				}
+				return core.Range{Low: extent + 100, High: extent + 300}
+			default:
+				w := widths[rng.Intn(len(widths))]
+				lo := rng.Float64() * extent
+				if rng.Intn(8) == 0 { // start on a bucket boundary
+					lo = float64(rng.Intn(DefaultBuckets)) * oneBucket
+				}
+				return core.Range{Low: lo, High: lo + w}
+			}
+		}
+		other := func() core.Range {
+			lo := rng.Float64()*extent - 100
+			return core.Range{Low: lo, High: lo + 100 + rng.Float64()*700}
+		}
+		mk := func(id core.SubscriptionID) *core.Subscription {
+			preds := make([]core.Range, testSpace.K())
+			for d := range preds {
+				if d == dim {
+					preds[d] = indexed()
+				} else {
+					preds[d] = other()
+				}
+			}
+			s := core.NewSubscription(core.SubscriberID(id), preds)
+			s.ID = id
+			return s
+		}
+		attr := func() float64 {
+			switch rng.Intn(12) {
+			case 0:
+				return math.NaN()
+			case 1:
+				return -200 + rng.Float64()*150 // below the dimension
+			case 2:
+				return extent + rng.Float64()*250 // at or above Max
+			case 3:
+				return float64(rng.Intn(DefaultBuckets+1)) * oneBucket
+			default:
+				return rng.Float64() * extent
+			}
+		}
+		x := New(KindBucket, testSpace, dim).(*Bucket)
+		var live []core.SubscriptionID
+		nextID := core.SubscriptionID(1)
+		matches := 0
+		for step := 0; step < 8000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4 || len(live) == 0:
+				s := mk(nextID)
+				nextID++
+				live = append(live, s.ID)
+				x.Add(s)
+			case op < 6: // remove; the freed slot is reused by a later Add
+				k := rng.Intn(len(live))
+				if !x.Remove(live[k]) {
+					t.Fatalf("dim %d step %d: Remove(%v) of a live ID returned false", dim, step, live[k])
+				}
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+			case op < 7: // re-add a live ID with a new cuboid
+				x.Add(mk(live[rng.Intn(len(live))]))
+			default:
+				attrs := make([]float64, testSpace.K())
+				for d := range attrs {
+					attrs[d] = attr()
+				}
+				m := core.NewMessage(attrs, nil)
+				got, _, scanned := Match(x, m, nil, nil)
+				want, wantScanned := stabVerify(x, m)
+				if len(got) != len(want) || scanned != wantScanned {
+					t.Fatalf("dim %d step %d: Match(%v) = %d subs scanned %d, stab+verify %d scanned %d",
+						dim, step, attrs, len(got), scanned, len(want), wantScanned)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("dim %d step %d: Match(%v)[%d] = %v, stab+verify has %v",
+							dim, step, attrs, i, got[i], want[i])
+					}
+				}
+				matches += len(got)
+			}
+		}
+		if matches < 1000 {
+			t.Fatalf("dim %d: only %d matches over the run; the probes do not exercise the verify", dim, matches)
+		}
+	}
+}
+
+// Match, Stab and Overlapping only read the index, so any number of readers
+// may share it (a matcher shard holds a read lock for exactly this).
+func TestBucketConcurrentReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	x := New(KindBucket, testSpace, 0)
+	for i := 1; i <= 2000; i++ {
+		x.Add(randSub(rng, core.SubscriptionID(i), 300))
+	}
+	type probe struct {
+		m       *core.Message
+		r       core.Range
+		match   []core.SubscriptionID
+		stab    []core.SubscriptionID
+		overlap []core.SubscriptionID
+	}
+	probes := make([]probe, 64)
+	for i := range probes {
+		p := &probe{m: core.NewMessage([]float64{rng.Float64() * 1000, rng.Float64() * 1000, rng.Float64() * 1000}, nil)}
+		lo := rng.Float64() * 1000
+		p.r = core.Range{Low: lo, High: lo + rng.Float64()*200}
+		got, _, _ := Match(x, p.m, nil, nil)
+		p.match = ids(got)
+		got, _ = x.Stab(p.m.Attrs[0], nil)
+		p.stab = ids(got)
+		p.overlap = ids(x.Overlapping(p.r, nil))
+		probes[i] = *p
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var dst, cands []*core.Subscription
+			for round := 0; round < 10; round++ {
+				for i := range probes {
+					p := &probes[(i+g)%len(probes)]
+					dst, cands, _ = Match(x, p.m, dst[:0], cands)
+					if !sameIDs(ids(dst), p.match) {
+						t.Errorf("reader %d: Match differs from the serial answer", g)
+						return
+					}
+					if got, _ := x.Stab(p.m.Attrs[0], nil); !sameIDs(ids(got), p.stab) {
+						t.Errorf("reader %d: Stab differs from the serial answer", g)
+						return
+					}
+					if !sameIDs(ids(x.Overlapping(p.r, nil)), p.overlap) {
+						t.Errorf("reader %d: Overlapping differs from the serial answer", g)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // On the paper workload — one predicate width per set — each stab examines

@@ -21,7 +21,8 @@ import "bluedove/internal/core"
 // through the normal Add path, so one of them becomes the new cover (or they
 // attach to other existing covers). Overlapping and All enumerate covered
 // subscriptions too, so segment split/handover and snapshotting see the full
-// set. Like the wrapped indexes, Covering is NOT safe for concurrent use.
+// set. Like the wrapped indexes, Covering's read methods are safe for
+// concurrent readers and Add and Remove need exclusive access.
 type Covering struct {
 	base Index
 	// covered maps a cover's ID to the subscriptions riding on it; the cover

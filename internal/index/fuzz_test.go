@@ -7,16 +7,17 @@ import (
 )
 
 // FuzzBucketAddRemove drives a raw bucket index (no covering) through an
-// add/remove/re-add/stab/overlap sequence decoded from the fuzz input and
-// checks every answer, Len and All against a brute-force scan oracle. The 16
-// buckets over a 256-wide dimension make widths from sub-bucket to wide, and
-// intervals hanging over either end, reachable from a few bytes.
+// add/remove/re-add/stab/overlap/match sequence decoded from the fuzz input
+// and checks every answer, Len and All against a brute-force scan oracle. The
+// 16 buckets over a 256-wide dimension make widths from sub-bucket to wide,
+// and intervals hanging over either end, reachable from a few bytes; the
+// second dimension gives the fused match's verify something to reject.
 func FuzzBucketAddRemove(f *testing.F) {
 	f.Add([]byte{0x01, 0x40, 0x05, 0x10, 0x83, 0x50, 0x02, 0x00})
 	f.Add([]byte{0xfd, 0x02, 0x41, 0xf8, 0x06, 0x01, 0x03, 0xff, 0x07, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sp := core.UniformSpace(1, 256)
-		ref, x := NewScan(0), NewBucket(sp.Dim(0), 0, 16)
+		sp := core.UniformSpace(2, 256)
+		ref, x := NewScan(0), NewBucket(sp.Dim(0), 0, sp.K(), 16)
 		nextID := core.SubscriptionID(1)
 		var live []core.SubscriptionID
 		add := func(id core.SubscriptionID, op byte, arg float64) {
@@ -24,7 +25,8 @@ func FuzzBucketAddRemove(f *testing.F) {
 			// bucket and more than a quarter of the extent occur; the low
 			// end may sit below 0 or the high end past 256.
 			w := float64(op>>3)*float64(op>>3)/4 + 0.25
-			s := core.NewSubscription(core.SubscriberID(id), []core.Range{{Low: arg - 8, High: arg - 8 + w}})
+			other := core.Range{Low: float64(op&7) * 32, High: float64(op&7)*32 + 96}
+			s := core.NewSubscription(core.SubscriberID(id), []core.Range{{Low: arg - 8, High: arg - 8 + w}, other})
 			s.ID = id
 			ref.Add(s)
 			x.Add(s)
@@ -64,6 +66,12 @@ func FuzzBucketAddRemove(f *testing.F) {
 				r := core.Range{Low: v - 3, High: v + float64(op>>4) + 1}
 				if !sameIDs(ids(x.Overlapping(r, nil)), ids(ref.Overlapping(r, nil))) {
 					t.Fatalf("Overlapping(%v) mismatch", r)
+				}
+				m := core.NewMessage([]float64{v, arg}, nil)
+				got, _, _ = Match(x, m, nil, nil)
+				want, _, _ = Match(ref, m, nil, nil)
+				if !sameIDs(ids(got), ids(want)) {
+					t.Fatalf("Match(%v) = %v, want %v", m.Attrs, ids(got), ids(want))
 				}
 			}
 			if x.Len() != ref.Len() {

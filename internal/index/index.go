@@ -18,12 +18,17 @@
 //     to an always-scanned overflow list). On a set of one predicate width
 //     that window reaches less than one bucket past the intervals that can
 //     contain the value; a set mixing widths scans every narrow entry
-//     starting in the widest one's window.
+//     starting in the widest one's window. Each bucket keeps its entries'
+//     full cuboids inline, so Match verifies while it stabs: one pass over
+//     the window tests every dimension of every entry without touching a
+//     subscription that does not match.
 //   - IntervalTree: a centered interval tree rebuilt lazily after batches of
 //     updates.
 //
-// Indexes are NOT safe for concurrent use; a matcher serializes access to
-// each per-dimension set through its SEDA stage.
+// The read methods (Dim, Len, Contains, Stab, Overlapping, All and Match) are
+// safe for any number of concurrent readers; Add and Remove need exclusive
+// access. A matcher shard holds its RWMutex's read lock to match and its
+// write lock to store or remove.
 package index
 
 import (
@@ -119,7 +124,7 @@ func NewSized(k Kind, sp *core.Space, dim, buckets int) Index {
 		if buckets <= 0 {
 			buckets = DefaultBuckets
 		}
-		return NewBucket(sp.Dim(dim), dim, buckets)
+		return NewBucket(sp.Dim(dim), dim, sp.K(), buckets)
 	case KindIntervalTree:
 		return NewIntervalTree(dim)
 	default:
@@ -130,13 +135,18 @@ func NewSized(k Kind, sp *core.Space, dim, buckets int) Index {
 // Match runs a full match for message m against idx: stab on the index's
 // dimension, then verify every other dimension. It returns the matching
 // subscriptions appended to dst and the number of stored subscriptions
-// scanned.
+// scanned. A *Bucket does both in one pass over the cuboids it stores
+// inline, with the same result, order and scanned count.
 //
 // cands is the stabbing candidate buffer; the (possibly grown) buffer is
 // returned so callers on the hot path can retain its capacity across calls
 // and keep steady-state matching allocation-free. Passing nil allocates a
 // fresh buffer, which is fine off the hot path.
 func Match(idx Index, m *core.Message, dst, cands []*core.Subscription) (matched, candsOut []*core.Subscription, scanned int) {
+	if b, ok := idx.(*Bucket); ok {
+		matched, scanned = b.match(m, dst)
+		return matched, cands[:0], scanned
+	}
 	dim := idx.Dim()
 	cands, scanned = idx.Stab(m.Attrs[dim], cands[:0])
 	matched = dst

@@ -124,7 +124,7 @@ func deliverEncodedSize(d *wire.DeliverBody) int {
 func (m *Matcher) enqueueBatch(b *wire.ForwardBatchBody, from core.NodeID) {
 	perDim := make([][]*core.Message, len(m.dims))
 	for _, e := range b.Entries {
-		if e.Dim < 0 || e.Dim >= len(m.dims) || e.Msg == nil {
+		if e.Dim < 0 || e.Dim >= len(m.dims) || e.Msg == nil || len(e.Msg.Attrs) != len(m.dims) {
 			continue
 		}
 		perDim[e.Dim] = append(perDim[e.Dim], e.Msg)

@@ -388,7 +388,7 @@ func (m *Matcher) handle(env *wire.Envelope) *wire.Envelope {
 		return nil
 	case wire.KindForward:
 		b, err := wire.DecodeForward(env.Body)
-		if err != nil || b.Dim < 0 || b.Dim >= len(m.dims) {
+		if err != nil || b.Dim < 0 || b.Dim >= len(m.dims) || len(b.Msg.Attrs) != len(m.dims) {
 			return nil
 		}
 		st := m.dims[b.Dim].stage
@@ -470,7 +470,13 @@ func (m *Matcher) handle(env *wire.Envelope) *wire.Envelope {
 }
 
 // store installs one subscription copy, locking only the shard that owns it.
+// Every Store, Transfer and journal-replay path comes through here, so this
+// is where a copy without one predicate per dimension, which the indexes
+// cannot hold, is dropped.
 func (m *Matcher) store(dim int, s *core.Subscription, deliverAddr string) {
+	if len(s.Predicates) != len(m.dims) {
+		return
+	}
 	sh := m.dims[dim].shards[shardOf(s.ID, m.cfg.MatchShards)]
 	sh.mu.Lock()
 	sh.idx.Add(s)
