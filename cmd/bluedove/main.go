@@ -66,7 +66,7 @@ func main() {
 		dataDir   = flag.String("data-dir", "", "journal this node's state under this directory and recover it on restart; empty keeps all state in memory")
 		fsyncPol  = flag.String("fsync", "always", "journal durability policy with -data-dir: always|interval|never")
 		indexKind = flag.String("index", "bucket", "matcher: per-dimension index kind: scan|bucket|intervaltree")
-		buckets   = flag.Int("index-buckets", 0, "matcher: bucket count for -index bucket (0 = default)")
+		buckets   = flag.Int("index-buckets", 0, "matcher: cells per dimension for -index bucket (0 = default)")
 		covering  = flag.Bool("covering", false, "matcher: enable subscription covering/aggregation")
 		shards    = flag.Int("match-shards", 1, "matcher: per-dimension index shards matched in parallel (e.g. NumCPU)")
 		elasticOn = flag.Bool("elastic", false, "dispatcher: run the elasticity controller in advisory mode over matcher load reports (decisions logged and exported as elastic.* telemetry)")

@@ -46,7 +46,7 @@ type Options struct {
 	Policy forward.Policy
 	// IndexKind selects matcher indexes (default bucket).
 	IndexKind index.Kind
-	// IndexBuckets overrides the bucket count of the bucket index (default
+	// IndexBuckets overrides the bucket index's cells per dimension (default
 	// index.DefaultBuckets; ignored by the other kinds).
 	IndexBuckets int
 	// Covering enables subscription covering/aggregation on every matcher

@@ -141,7 +141,8 @@ type Config struct {
 	FlushWorkers int
 	// IndexKind selects the per-edge subscription index (default bucket).
 	IndexKind index.Kind
-	// IndexBuckets overrides the bucket index's bucket count (0 = default).
+	// IndexBuckets overrides the bucket index's cells per dimension (0 =
+	// default).
 	IndexBuckets int
 	// Covering wraps the table with subscription covering/aggregation, so
 	// templated session predicates collapse to one indexed entry per shape

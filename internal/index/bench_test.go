@@ -6,11 +6,10 @@ import (
 	"testing"
 
 	"bluedove/internal/core"
+	"bluedove/internal/workload"
 )
 
-func benchIndex(b *testing.B, kind Kind, nsubs int, predLen float64) {
-	sp := core.UniformSpace(4, 1000)
-	idx := New(kind, sp, 0)
+func benchIndex(b *testing.B, idx Index, nsubs int, predLen float64) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 1; i <= nsubs; i++ {
 		preds := make([]core.Range, 4)
@@ -41,18 +40,30 @@ func benchIndex(b *testing.B, kind Kind, nsubs int, predLen float64) {
 	}
 }
 
+// BenchmarkMatch runs full matches of uniform messages against paper-width
+// (250 of 1000 on every dimension) subscriptions. The covering/bucket rows
+// wrap the default index in Covering, which stabs and then verifies.
 func BenchmarkMatch(b *testing.B) {
-	for _, kind := range []Kind{KindScan, KindBucket, KindIntervalTree} {
+	sp := core.UniformSpace(4, 1000)
+	for _, kind := range []string{"scan", "bucket", "intervaltree", "covering/bucket"} {
 		for _, n := range []int{1000, 10000} {
 			b.Run(fmt.Sprintf("%s/subs=%d", kind, n), func(b *testing.B) {
-				benchIndex(b, kind, n, 250)
+				var idx Index
+				if kind == "covering/bucket" {
+					idx = NewCovering(New(KindBucket, sp, 0))
+				} else {
+					k, _ := KindByName(kind)
+					idx = New(k, sp, 0)
+				}
+				benchIndex(b, idx, n, 250)
 			})
 		}
 	}
 }
 
 // paperSub returns a subscription with a paper-width (250 of 1000) predicate
-// on dimension 0 and full ranges elsewhere.
+// on dimension 0 and full ranges elsewhere: for the bucket index, the most
+// cells a paper-width subscription can span.
 func paperSub(rng *rand.Rand, id core.SubscriptionID) *core.Subscription {
 	lo := rng.Float64() * 750
 	s := core.NewSubscription(1, []core.Range{
@@ -62,45 +73,71 @@ func paperSub(rng *rand.Rand, id core.SubscriptionID) *core.Subscription {
 	return s
 }
 
+// subSets are the subscription shapes BenchmarkAdd and BenchmarkRemove store:
+// paperSub's, and the paper workload's (250 of 1000 on every dimension).
+var subSets = []struct {
+	name string
+	gen  func(n int) []*core.Subscription
+}{
+	{"fullrange3", func(n int) []*core.Subscription {
+		rng := rand.New(rand.NewSource(1))
+		subs := make([]*core.Subscription, n)
+		for i := range subs {
+			subs[i] = paperSub(rng, core.SubscriptionID(i+1))
+		}
+		return subs
+	}},
+	{"workload", func(n int) []*core.Subscription {
+		return workload.New(workload.Default(core.UniformSpace(4, 1000))).Subscriptions(n)
+	}},
+}
+
+// BenchmarkAdd fills an index with distinct subscriptions, starting a fresh
+// index (untimed) every 100k adds.
 func BenchmarkAdd(b *testing.B) {
+	const n = 100000
 	sp := core.UniformSpace(4, 1000)
-	for _, kind := range []Kind{KindScan, KindBucket, KindIntervalTree} {
-		b.Run(kind.String(), func(b *testing.B) {
-			idx := New(kind, sp, 0)
-			rng := rand.New(rand.NewSource(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				idx.Add(paperSub(rng, core.SubscriptionID(i+1)))
-			}
-		})
+	for _, set := range subSets {
+		subs := set.gen(n)
+		for _, kind := range []Kind{KindScan, KindBucket, KindIntervalTree} {
+			b.Run(kind.String()+"/"+set.name, func(b *testing.B) {
+				var idx Index
+				for i := 0; i < b.N; i++ {
+					if i%n == 0 {
+						b.StopTimer()
+						idx = New(kind, sp, 0)
+						b.StartTimer()
+					}
+					idx.Add(subs[i%n])
+				}
+			})
+		}
 	}
 }
 
-// BenchmarkRemove drains a 10k-entry index of paper-width subscriptions in
-// random order, refilling it (untimed) whenever it empties.
+// BenchmarkRemove drains a 10k-entry index in random order, refilling it
+// (untimed) whenever it empties.
 func BenchmarkRemove(b *testing.B) {
 	const n = 10000
 	sp := core.UniformSpace(4, 1000)
-	rng := rand.New(rand.NewSource(1))
-	subs := make([]*core.Subscription, n)
-	for i := range subs {
-		subs[i] = paperSub(rng, core.SubscriptionID(i+1))
-	}
-	order := rng.Perm(n)
-	for _, kind := range []Kind{KindScan, KindBucket, KindIntervalTree} {
-		b.Run(kind.String(), func(b *testing.B) {
-			idx := New(kind, sp, 0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%n == 0 {
-					b.StopTimer()
-					for _, s := range subs {
-						idx.Add(s)
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	for _, set := range subSets {
+		subs := set.gen(n)
+		for _, kind := range []Kind{KindScan, KindBucket, KindIntervalTree} {
+			b.Run(kind.String()+"/"+set.name, func(b *testing.B) {
+				idx := New(kind, sp, 0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%n == 0 {
+						b.StopTimer()
+						for _, s := range subs {
+							idx.Add(s)
+						}
+						b.StartTimer()
 					}
-					b.StartTimer()
+					idx.Remove(subs[order[i%n]].ID)
 				}
-				idx.Remove(subs[order[i%n]].ID)
-			}
-		})
+			})
+		}
 	}
 }

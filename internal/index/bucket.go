@@ -2,90 +2,88 @@ package index
 
 import (
 	"math"
+	"math/bits"
 
 	"bluedove/internal/core"
 )
 
-// DefaultBuckets is the bucket count used by New for KindBucket.
-const DefaultBuckets = 256
+// DefaultBuckets is the number of cells per dimension used by New for
+// KindBucket. Past 64 cells a match gains little while Add and Remove flip
+// proportionally more bits.
+const DefaultBuckets = 64
 
-// wideThreshold is the fraction of the dimension extent above which an
-// interval is stored in the overflow list rather than in a bucket. It bounds
-// the backward window every stab scans (maxSpan) to a quarter of the
-// buckets.
-const wideThreshold = 0.25
-
-// Bucket divides the dimension's value set into fixed-width buckets and
-// stores each narrow interval once, in the bucket of its (clipped) Low.
-// maxSpan records how many buckets past its first any stored narrow interval
-// has reached, so a stab at v scans the buckets [b(v)-maxSpan, b(v)]: every
-// interval containing v starts in one of them. Intervals wider than a quarter
-// of the extent (or lying wholly outside it) live in an overflow list that
-// every query scans.
+// Bucket cuts every dimension of the space into n equal cells and keeps, for
+// each dimension j and cell c, a bitset over slots: bit i of cells[j*n+c] is
+// set when slot i's predicate on j meets c. A slot holds one subscription and,
+// inline in the slab, a copy of its k predicates.
 //
-// On a set of one predicate width the window is that width rounded up to
-// whole buckets plus one bucket, less than a bucket more than the starts of
-// the intervals that can contain v; for the paper's workload (range 250 of
-// 1000, 64 buckets exactly) stabbing cost is about the answer size plus the
-// overflow list. A set mixing widths pays the widest narrow interval's window
-// for every entry: a stab examines every narrow entry starting within maxSpan
-// buckets of v, at most those in a window of 25 % of the extent. maxSpan
-// never shrinks.
+// A match ANDs the k rows of the message's cells and verifies all k
+// predicates, branch-free, only on the slots that survive.
+// cellOf is monotone and a predicate owns every cell from its Low's to its
+// High's, so a predicate containing a value always owns that value's cell:
+// the AND is a superset of the answer and the verify makes it exact. On the
+// paper workload (predicates a quarter of each dimension wide) the survivors
+// are about 1.3 times the answer, where a one-dimension stab window holds a
+// quarter of the whole set. Values and predicate bounds outside a dimension
+// clamp to its edge cells, so overhanging, wholly outside and empty predicates
+// need no special case.
 //
-// Each bucket (and the overflow list) holds int32 slots into a slab of
-// subscriptions and, inline and in the same order, a copy of every entry's
-// full predicate cuboid: k ranges per entry. The stab filter and the fused
-// match (see Match) read predicates straight from the bucket without
-// dereferencing a subscription, and the buckets hold no pointers for the
-// garbage collector to trace. A match tests all k dimensions of every entry
-// in the stab window and touches a subscription only when it matches. The
-// copy costs 16·k bytes per stored subscription (64 B at k = 4) where a copy
-// of the indexed range alone would cost 16. Add and Remove touch one bucket.
+// Match reports the number of cuboids it verified as scanned and returns its
+// answer in slot order, which depends only on the sequence of Adds and
+// Removes. Stab and Overlapping walk the rows of Dim alone and verify Dim's
+// predicate; Stab's scanned is the size of the value's cell row.
+//
+// The cost is k·n bits per stored subscription (32 B at k = 4, n = 64) plus
+// the rows' growth slack, beside 16·k bytes of inline predicates. Add and
+// Remove flip one bit per cell a predicate spans on each dimension: about 68
+// flips for a paper-width cuboid, 4·n for one that spans every dimension.
 //
 // Every stored subscription has exactly k predicates and every matched
 // message exactly k attributes; the nodes drop frames that do not.
 type Bucket struct {
-	dim     int
-	k       int
-	d       core.Dimension
-	width   float64
-	buckets []bucketList
-	wide    bucketList
-	maxSpan int
+	dim   int
+	k     int
+	n     int
+	dims  []core.Dimension
+	scale []float64 // n / extent, per dimension
+	cells [][]uint64
 
-	// The slab, indexed by slot. subs[i] is nil for a free slot; where[i] is
-	// slot i's bucket number (-1 for the overflow list) and pos[i] its
-	// position there.
+	// The slab, indexed by slot. subs[i] is nil for a free slot, whose bits
+	// are all clear; preds[i*k:][:k] is slot i's cuboid.
 	subs  []*core.Subscription
-	where []int32
-	pos   []int32
+	preds []core.Range
 	free  []int32
 	slot  map[core.SubscriptionID]int32
 }
 
-// bucketList is one bucket or the overflow list: slots, and the cuboids of
-// those slots' subscriptions, k ranges per entry in slot order.
-type bucketList struct {
-	slots []int32
-	preds []core.Range
-}
-
 var _ Index = (*Bucket)(nil)
 
-// NewBucket returns an empty bucket index over dimension d (dimension index
-// dim) of a k-dimensional space, with n buckets. n must be >= 1.
-func NewBucket(d core.Dimension, dim, k, n int) *Bucket {
-	if n < 1 {
-		n = 1
+// maxStackDims is the dimension count up to which Match keeps its rows in a
+// stack array and so does not allocate.
+const maxStackDims = 8
+
+// andBlock is how many words of the k rows Match ANDs into a stack buffer
+// before walking the surviving bits: each row is then one tight loop.
+const andBlock = 64
+
+// NewBucket returns an empty bucket index of space sp that stabs on dimension
+// dim, with n cells per dimension. n must be >= 1.
+func NewBucket(sp *core.Space, dim, n int) *Bucket {
+	n = max(n, 1)
+	k := sp.K()
+	x := &Bucket{
+		dim:   dim,
+		k:     k,
+		n:     n,
+		dims:  sp.Dims(),
+		scale: make([]float64, k),
+		cells: make([][]uint64, k*n),
+		slot:  make(map[core.SubscriptionID]int32),
 	}
-	return &Bucket{
-		dim:     dim,
-		k:       k,
-		d:       d,
-		width:   d.Extent() / float64(n),
-		buckets: make([]bucketList, n),
-		slot:    make(map[core.SubscriptionID]int32),
+	for j, d := range x.dims {
+		x.scale[j] = float64(n) / d.Extent()
 	}
+	return x
 }
 
 // Dim returns the dimension this index searches on.
@@ -94,51 +92,41 @@ func (x *Bucket) Dim() int { return x.dim }
 // Len returns the number of stored subscriptions.
 func (x *Bucket) Len() int { return len(x.slot) }
 
-// bucketOf maps a value (clamped to the dimension) to a bucket number.
-func (x *Bucket) bucketOf(v float64) int {
-	v = x.d.Clamp(v)
-	b := int((v - x.d.Min) / x.width)
-	if b >= len(x.buckets) {
-		b = len(x.buckets) - 1
-	}
-	if b < 0 {
-		b = 0
-	}
-	return b
+// cellOf maps a value on dimension j to its cell: the value is clamped into
+// the dimension and the cell number into [0, n-1]. It is monotone in v; NaN
+// lands in cell 0, where no predicate can contain it.
+func (x *Bucket) cellOf(j int, v float64) int {
+	c := int((x.dims[j].Clamp(v) - x.dims[j].Min) * x.scale[j])
+	return min(max(c, 0), x.n-1)
 }
 
-// span returns the inclusive bucket range covered by interval r clipped to
-// the dimension, or wide when r belongs in the overflow list.
-func (x *Bucket) span(r core.Range) (lo, hi int, wide bool) {
-	clipped := r.Intersect(core.Range{Low: x.d.Min, High: x.d.Max})
-	if clipped.Empty() {
-		// Wholly outside the dimension: only out-of-dimension values can
-		// stab it, so it goes where every query looks.
-		return 0, 0, true
-	}
-	// The tolerance keeps intervals sitting exactly on the threshold out of
-	// the overflow list when float arithmetic nudges their length up by an
-	// ulp (lo + 0.25*extent - lo can exceed 0.25*extent): every such
-	// interval would otherwise be scanned by every query.
-	if clipped.Length() > wideThreshold*x.d.Extent()*(1+1e-9) {
-		return 0, 0, true
-	}
-	lo = x.bucketOf(clipped.Low)
-	// High is exclusive; nextafter below keeps an interval ending exactly on
-	// a bucket boundary out of the next bucket.
-	hi = x.bucketOf(math.Nextafter(clipped.High, clipped.Low))
-	return lo, hi, false
+// span returns the inclusive cell range predicate r occupies on dimension j.
+// High is exclusive, so the last cell is that of the value just below it. An
+// empty range still owns one cell.
+func (x *Bucket) span(j int, r core.Range) (lo, hi int) {
+	lo = x.cellOf(j, r.Low)
+	hi = max(x.cellOf(j, math.Nextafter(r.High, math.Inf(-1))), lo)
+	return lo, hi
 }
 
-// list returns bucket b, or the overflow list for b == -1.
-func (x *Bucket) list(b int32) *bucketList {
-	if b < 0 {
-		return &x.wide
+// mark sets (on) or clears (!on) slot i's bit in every cell its cuboid spans.
+func (x *Bucket) mark(i int32, on bool) {
+	w, bit := i>>6, uint64(1)<<(i&63)
+	set := uint64(0)
+	if on {
+		set = bit
 	}
-	return &x.buckets[b]
+	for j, r := range x.preds[int(i)*x.k:][:x.k] {
+		lo, hi := x.span(j, r)
+		for _, row := range x.cells[j*x.n+lo : j*x.n+hi+1] {
+			row[w] = row[w]&^bit | set
+		}
+	}
 }
 
-// Add inserts or replaces a subscription.
+// Add inserts or replaces a subscription. A new slot past the end of the
+// slab appends its predicates, and every 64th one appends a zero word to
+// each row; append's doubling keeps both amortised.
 func (x *Bucket) Add(s *core.Subscription) {
 	x.Remove(s.ID)
 	var i int32
@@ -146,85 +134,33 @@ func (x *Bucket) Add(s *core.Subscription) {
 		i = x.free[n-1]
 		x.free = x.free[:n-1]
 		x.subs[i] = s
+		copy(x.preds[int(i)*x.k:], s.Predicates[:x.k])
 	} else {
 		i = int32(len(x.subs))
 		x.subs = append(x.subs, s)
-		x.where = append(x.where, 0)
-		x.pos = append(x.pos, 0)
+		x.preds = append(x.preds, s.Predicates[:x.k]...)
+		if i&63 == 0 {
+			for c := range x.cells {
+				x.cells[c] = append(x.cells[c], 0)
+			}
+		}
 	}
 	x.slot[s.ID] = i
-	b := int32(-1)
-	if lo, hi, wide := x.span(s.Predicates[x.dim]); !wide {
-		b = int32(lo)
-		x.maxSpan = max(x.maxSpan, hi-lo)
-	}
-	l := x.list(b)
-	x.where[i], x.pos[i] = b, int32(len(l.slots))
-	l.slots = append(l.slots, i)
-	l.preds = append(l.preds, s.Predicates[:x.k]...)
+	x.mark(i, true)
 }
 
-// Remove deletes the subscription with the given ID. The list's last entry,
-// slot and cuboid, moves into the hole.
+// Remove deletes the subscription with the given ID: its bits are cleared and
+// its slot goes on the free list. No other slot moves.
 func (x *Bucket) Remove(id core.SubscriptionID) bool {
 	i, ok := x.slot[id]
 	if !ok {
 		return false
 	}
 	delete(x.slot, id)
-	l, k := x.list(x.where[i]), x.k
-	p, last := int(x.pos[i]), len(l.slots)-1
-	moved := l.slots[last]
-	l.slots[p] = moved
-	copy(l.preds[p*k:(p+1)*k], l.preds[last*k:])
-	x.pos[moved] = int32(p)
-	l.slots = l.slots[:last]
-	l.preds = l.preds[:last*k]
+	x.mark(i, false)
 	x.subs[i] = nil
 	x.free = append(x.free, i)
 	return true
-}
-
-// appendContaining appends the subscriptions in l whose predicate on Dim
-// contains v.
-func (x *Bucket) appendContaining(dst []*core.Subscription, l *bucketList, v float64) []*core.Subscription {
-	for j, i := range l.slots {
-		if l.preds[j*x.k+x.dim].Contains(v) {
-			dst = append(dst, x.subs[i])
-		}
-	}
-	return dst
-}
-
-// appendOverlapping appends the subscriptions in l whose predicate on Dim
-// overlaps r.
-func (x *Bucket) appendOverlapping(dst []*core.Subscription, l *bucketList, r core.Range) []*core.Subscription {
-	for j, i := range l.slots {
-		if l.preds[j*x.k+x.dim].Overlaps(r) {
-			dst = append(dst, x.subs[i])
-		}
-	}
-	return dst
-}
-
-// appendMatching appends the subscriptions in l whose whole cuboid contains
-// attrs (len(attrs) == k). Every range of every entry is tested with integer
-// ANDs and no early exit, so the loop's only data-dependent branch is the
-// rarely taken one that appends a match; a NaN attribute fails both
-// comparisons, as in core.Range.Contains.
-func (x *Bucket) appendMatching(dst []*core.Subscription, l *bucketList, attrs []float64) []*core.Subscription {
-	k := len(attrs)
-	for j, i := range l.slots {
-		c := l.preds[j*k:][:k]
-		in := 1
-		for d, a := range attrs {
-			in &= b2i(a >= c[d].Low) & b2i(a < c[d].High)
-		}
-		if in != 0 {
-			dst = append(dst, x.subs[i])
-		}
-	}
-	return dst
 }
 
 // b2i converts a comparison result to 0 or 1; the compiler emits a flag set,
@@ -236,44 +172,90 @@ func b2i(b bool) int {
 	return 0
 }
 
-// Stab returns the subscriptions containing v on Dim. Cost is the buckets
-// [b(v)-maxSpan, b(v)] plus the overflow list; values outside the dimension
-// clamp to its first or last bucket, where overhanging intervals start.
+// Stab returns the subscriptions containing v on Dim: the slots of v's cell
+// row on Dim whose predicate contains v. Values outside the dimension clamp
+// to its first or last cell, where overhanging intervals also sit.
 func (x *Bucket) Stab(v float64, dst []*core.Subscription) ([]*core.Subscription, int) {
-	hi := x.bucketOf(v)
-	scanned := len(x.wide.slots)
-	for b := max(hi-x.maxSpan, 0); b <= hi; b++ {
-		scanned += len(x.buckets[b].slots)
-		dst = x.appendContaining(dst, &x.buckets[b], v)
+	scanned := 0
+	for w, word := range x.cells[x.dim*x.n+x.cellOf(x.dim, v)] {
+		scanned += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if x.preds[i*x.k+x.dim].Contains(v) {
+				dst = append(dst, x.subs[i])
+			}
+		}
 	}
-	return x.appendContaining(dst, &x.wide, v), scanned
+	return dst, scanned
 }
 
-// match appends the subscriptions whose whole cuboid contains m and returns
-// the number of entries examined. It walks exactly Stab's window in Stab's
-// order, so it returns what Stab followed by a verify of the other
-// dimensions would, with the same scanned count. Read-only: concurrent
-// readers may share the index.
+// match appends, in slot order, the subscriptions whose whole cuboid contains
+// m, and returns the number of cuboids verified. The k cell rows are ANDed
+// andBlock words at a time; every surviving slot has all k ranges tested with
+// integer ANDs and no early exit, so the only data-dependent branch is the one
+// that appends a match. A NaN attribute fails both comparisons, as in
+// core.Range.Contains.
+// Read-only: concurrent readers may share the index.
 func (x *Bucket) match(m *core.Message, dst []*core.Subscription) ([]*core.Subscription, int) {
-	attrs := m.Attrs[:x.k]
-	hi := x.bucketOf(attrs[x.dim])
-	scanned := len(x.wide.slots)
-	for b := max(hi-x.maxSpan, 0); b <= hi; b++ {
-		scanned += len(x.buckets[b].slots)
-		dst = x.appendMatching(dst, &x.buckets[b], attrs)
+	k := x.k
+	attrs := m.Attrs[:k]
+	var stack [maxStackDims][]uint64
+	rows := stack[:0]
+	if k > maxStackDims {
+		rows = make([][]uint64, 0, k)
 	}
-	return x.appendMatching(dst, &x.wide, attrs), scanned
+	for j, a := range attrs {
+		rows = append(rows, x.cells[j*x.n+x.cellOf(j, a)])
+	}
+	first, rest := rows[0], rows[1:]
+	scanned := 0
+	var acc [andBlock]uint64
+	for base := 0; base < len(first); base += andBlock {
+		and := acc[:min(andBlock, len(first)-base)]
+		copy(and, first[base:])
+		for _, row := range rest {
+			row := row[base:][:len(and)]
+			for w := range and {
+				and[w] &= row[w]
+			}
+		}
+		for w, word := range and {
+			scanned += bits.OnesCount64(word)
+			for ; word != 0; word &= word - 1 {
+				i := (base+w)<<6 | bits.TrailingZeros64(word)
+				c := x.preds[i*k:][:k]
+				in := 1
+				for d, a := range attrs {
+					in &= b2i(a >= c[d].Low) & b2i(a < c[d].High)
+				}
+				if in != 0 {
+					dst = append(dst, x.subs[i])
+				}
+			}
+		}
+	}
+	return dst, scanned
 }
 
-// Overlapping returns subscriptions whose predicate on Dim overlaps r. Every
-// entry is stored once, so the scan emits no duplicates.
+// Overlapping returns, in slot order, the subscriptions whose predicate on Dim
+// overlaps r: the slots in the union of the rows r spans on Dim whose
+// predicate overlaps r.
 func (x *Bucket) Overlapping(r core.Range, dst []*core.Subscription) []*core.Subscription {
-	lo := max(x.bucketOf(r.Low)-x.maxSpan, 0)
-	hi := x.bucketOf(math.Nextafter(r.High, math.Inf(-1)))
-	for b := lo; b <= hi; b++ {
-		dst = x.appendOverlapping(dst, &x.buckets[b], r)
+	lo, hi := x.span(x.dim, r)
+	rows := x.cells[x.dim*x.n+lo : x.dim*x.n+hi+1]
+	for w := range rows[0] {
+		var word uint64
+		for _, row := range rows {
+			word |= row[w]
+		}
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if x.preds[i*x.k+x.dim].Overlaps(r) {
+				dst = append(dst, x.subs[i])
+			}
+		}
 	}
-	return x.appendOverlapping(dst, &x.wide, r)
+	return dst
 }
 
 // All appends every stored subscription to dst in slot order, which depends

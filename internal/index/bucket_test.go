@@ -10,14 +10,14 @@ import (
 	"bluedove/internal/workload"
 )
 
-// A set mixing predicate widths — sub-bucket, one bucket, exactly and just
-// over the wide threshold, and intervals hanging over either end of the
-// dimension — answers like the scan oracle under churn that reuses slots and
-// re-adds live IDs with new predicates.
+// A set mixing predicate widths — sub-cell, one cell, a quarter of the extent
+// and just over — and intervals hanging over either end of the dimension
+// answers like the scan oracle under churn that reuses slots and re-adds live
+// IDs with new predicates.
 func TestBucketMixedWidthEquivalence(t *testing.T) {
 	const extent = 1000.0
-	oneBucket := extent / DefaultBuckets
-	widths := []float64{0.5, oneBucket, wideThreshold * extent, wideThreshold*extent + 0.001}
+	oneCell := extent / DefaultBuckets
+	widths := []float64{0.5, oneCell, 0.25 * extent, 0.25*extent + 0.001}
 	rng := rand.New(rand.NewSource(11))
 	pred := func() core.Range {
 		switch rng.Intn(6) {
@@ -30,8 +30,8 @@ func TestBucketMixedWidthEquivalence(t *testing.T) {
 		default:
 			w := widths[rng.Intn(len(widths))]
 			lo := rng.Float64() * extent
-			if rng.Intn(8) == 0 { // start on a bucket boundary
-				lo = float64(rng.Intn(DefaultBuckets)) * oneBucket
+			if rng.Intn(8) == 0 { // start on a cell boundary
+				lo = float64(rng.Intn(DefaultBuckets)) * oneCell
 			}
 			return core.Range{Low: lo, High: lo + w}
 		}
@@ -46,7 +46,7 @@ func TestBucketMixedWidthEquivalence(t *testing.T) {
 			return -50 + rng.Float64()*(extent+100) // outside the dimension too
 		}
 		if rng.Intn(4) == 0 {
-			return float64(rng.Intn(DefaultBuckets+1)) * oneBucket
+			return float64(rng.Intn(DefaultBuckets+1)) * oneCell
 		}
 		return rng.Float64() * extent
 	}
@@ -99,38 +99,22 @@ func TestBucketMixedWidthEquivalence(t *testing.T) {
 	if !sameIDs(ids(x.All(nil)), ids(ref.All(nil))) {
 		t.Fatal("All differs from the oracle after churn")
 	}
-	if x.maxSpan > int(wideThreshold*DefaultBuckets)+1 {
-		t.Fatalf("maxSpan %d exceeds the wide threshold's %d buckets", x.maxSpan, int(wideThreshold*DefaultBuckets))
-	}
 }
 
-// stabVerify is Match's generic path run on a bucket index: stab on Dim,
-// then verify the other dimensions.
-func stabVerify(x *Bucket, m *core.Message) ([]*core.Subscription, int) {
-	cands, scanned := x.Stab(m.Attrs[x.Dim()], nil)
-	var out []*core.Subscription
-	for _, s := range cands {
-		if s.MatchesExcept(m, x.Dim()) {
-			out = append(out, s)
-		}
-	}
-	return out, scanned
-}
-
-// The fused match returns exactly what stab + verify returns on the same
-// index — the same subscriptions in the same order, with the same scanned
-// count — under churn that mixes widths on the indexed dimension (sub-bucket,
-// one bucket, exactly and just over the wide threshold, overhanging either
-// end, wholly outside), reuses slots and re-adds live IDs, probed with
-// attributes inside, outside and NaN on every dimension.
-func TestBucketMatchEqualsStabVerify(t *testing.T) {
+// Match returns the scan oracle's answer as a set, having verified at least
+// that many cuboids, under churn that mixes widths on every dimension
+// (sub-cell, one cell, a quarter of the extent and just over, overhanging
+// either end, reaching far past Max, wholly outside), reuses slots and re-adds
+// live IDs, probed with attributes inside, outside and NaN on every dimension.
+// Once the index is drained, nothing survives the bitsets.
+func TestBucketMatchEqualsScanOracle(t *testing.T) {
 	const extent = 1000.0
-	oneBucket := extent / DefaultBuckets
-	widths := []float64{0.5, oneBucket, wideThreshold * extent, wideThreshold*extent + 0.001}
+	oneCell := extent / DefaultBuckets
+	widths := []float64{0.5, oneCell, 0.25 * extent, 0.25*extent + 0.001}
 	for dim := 0; dim < testSpace.K(); dim++ {
 		rng := rand.New(rand.NewSource(int64(21 + dim)))
-		indexed := func() core.Range {
-			switch rng.Intn(8) {
+		pred := func() core.Range {
+			switch rng.Intn(10) {
 			case 0: // overhangs Min
 				hi := rng.Float64() * 60
 				return core.Range{Low: hi - 10 - rng.Float64()*100, High: hi}
@@ -142,27 +126,24 @@ func TestBucketMatchEqualsStabVerify(t *testing.T) {
 					return core.Range{Low: -300, High: -100}
 				}
 				return core.Range{Low: extent + 100, High: extent + 300}
+			case 3: // "at least": a High far beyond any cell number
+				return core.Range{Low: rng.Float64() * extent, High: 1e300}
+			case 4, 5:
+				lo := rng.Float64()*extent - 100
+				return core.Range{Low: lo, High: lo + 100 + rng.Float64()*700}
 			default:
 				w := widths[rng.Intn(len(widths))]
 				lo := rng.Float64() * extent
-				if rng.Intn(8) == 0 { // start on a bucket boundary
-					lo = float64(rng.Intn(DefaultBuckets)) * oneBucket
+				if rng.Intn(8) == 0 { // start on a cell boundary
+					lo = float64(rng.Intn(DefaultBuckets)) * oneCell
 				}
 				return core.Range{Low: lo, High: lo + w}
 			}
 		}
-		other := func() core.Range {
-			lo := rng.Float64()*extent - 100
-			return core.Range{Low: lo, High: lo + 100 + rng.Float64()*700}
-		}
 		mk := func(id core.SubscriptionID) *core.Subscription {
 			preds := make([]core.Range, testSpace.K())
 			for d := range preds {
-				if d == dim {
-					preds[d] = indexed()
-				} else {
-					preds[d] = other()
-				}
+				preds[d] = pred()
 			}
 			s := core.NewSubscription(core.SubscriberID(id), preds)
 			s.ID = id
@@ -177,12 +158,12 @@ func TestBucketMatchEqualsStabVerify(t *testing.T) {
 			case 2:
 				return extent + rng.Float64()*250 // at or above Max
 			case 3:
-				return float64(rng.Intn(DefaultBuckets+1)) * oneBucket
+				return float64(rng.Intn(DefaultBuckets+1)) * oneCell
 			default:
 				return rng.Float64() * extent
 			}
 		}
-		x := New(KindBucket, testSpace, dim).(*Bucket)
+		ref, x := NewScan(dim), New(KindBucket, testSpace, dim).(*Bucket)
 		var live []core.SubscriptionID
 		nextID := core.SubscriptionID(1)
 		matches := 0
@@ -192,16 +173,20 @@ func TestBucketMatchEqualsStabVerify(t *testing.T) {
 				s := mk(nextID)
 				nextID++
 				live = append(live, s.ID)
+				ref.Add(s)
 				x.Add(s)
 			case op < 6: // remove; the freed slot is reused by a later Add
 				k := rng.Intn(len(live))
+				ref.Remove(live[k])
 				if !x.Remove(live[k]) {
 					t.Fatalf("dim %d step %d: Remove(%v) of a live ID returned false", dim, step, live[k])
 				}
 				live[k] = live[len(live)-1]
 				live = live[:len(live)-1]
 			case op < 7: // re-add a live ID with a new cuboid
-				x.Add(mk(live[rng.Intn(len(live))]))
+				s := mk(live[rng.Intn(len(live))])
+				ref.Add(s)
+				x.Add(s)
 			default:
 				attrs := make([]float64, testSpace.K())
 				for d := range attrs {
@@ -209,22 +194,28 @@ func TestBucketMatchEqualsStabVerify(t *testing.T) {
 				}
 				m := core.NewMessage(attrs, nil)
 				got, _, scanned := Match(x, m, nil, nil)
-				want, wantScanned := stabVerify(x, m)
-				if len(got) != len(want) || scanned != wantScanned {
-					t.Fatalf("dim %d step %d: Match(%v) = %d subs scanned %d, stab+verify %d scanned %d",
-						dim, step, attrs, len(got), scanned, len(want), wantScanned)
+				want, _, _ := Match(ref, m, nil, nil)
+				if !sameIDs(ids(got), ids(want)) {
+					t.Fatalf("dim %d step %d: Match(%v) = %v, oracle %v", dim, step, attrs, ids(got), ids(want))
 				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("dim %d step %d: Match(%v)[%d] = %v, stab+verify has %v",
-							dim, step, attrs, i, got[i], want[i])
-					}
+				if scanned < len(got) {
+					t.Fatalf("dim %d step %d: scanned %d < |answer| %d", dim, step, scanned, len(got))
 				}
 				matches += len(got)
 			}
 		}
 		if matches < 1000 {
 			t.Fatalf("dim %d: only %d matches over the run; the probes do not exercise the verify", dim, matches)
+		}
+		for _, id := range live {
+			x.Remove(id)
+		}
+		m := core.NewMessage([]float64{500, 500, 500}, nil)
+		if _, _, scanned := Match(x, m, nil, nil); scanned != 0 {
+			t.Fatalf("dim %d: drained index still verifies %d cuboids", dim, scanned)
+		}
+		if _, scanned := x.Stab(500, nil); scanned != 0 {
+			t.Fatalf("dim %d: drained index still stabs %d entries", dim, scanned)
 		}
 	}
 }
@@ -285,9 +276,9 @@ func TestBucketConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// On the paper workload — one predicate width per set — each stab examines
-// little more than its answer: the backward window is exactly the intervals
-// that can contain the value.
+// On the paper workload each stab examines little more than its answer: a
+// cell is a sixteenth of a predicate's width, so its row holds little beyond
+// the predicates containing the value.
 func TestBucketScannedNearAnswerOnPaperWorkload(t *testing.T) {
 	sp := core.UniformSpace(4, 1000)
 	gen := workload.New(workload.Default(sp))
@@ -304,6 +295,32 @@ func TestBucketScannedNearAnswerOnPaperWorkload(t *testing.T) {
 	}
 	if float64(scanned) > 1.1*float64(answers) {
 		t.Fatalf("500 stabs scanned %d entries for %d answers: more than 10%% over", scanned, answers)
+	}
+}
+
+// On the paper workload — every predicate a quarter of its dimension — the
+// AND of the k cell rows leaves about the answer to verify, where a stab on
+// one dimension would leave a quarter of the set.
+func TestBucketSurvivorsNearAnswerOnPaperWorkload(t *testing.T) {
+	sp := core.UniformSpace(4, 1000)
+	gen := workload.New(workload.Default(sp))
+	x := New(KindBucket, sp, 0)
+	for _, s := range gen.Subscriptions(40000) {
+		x.Add(s)
+	}
+	rng := rand.New(rand.NewSource(4))
+	var scanned, answers int
+	var dst, cands []*core.Subscription
+	for q := 0; q < 500; q++ {
+		m := core.NewMessage([]float64{rng.Float64() * 1000, rng.Float64() * 1000,
+			rng.Float64() * 1000, rng.Float64() * 1000}, nil)
+		var n int
+		dst, cands, n = Match(x, m, dst[:0], cands)
+		scanned += n
+		answers += len(dst)
+	}
+	if answers == 0 || float64(scanned) > 1.5*float64(answers) {
+		t.Fatalf("500 matches verified %d cuboids for %d answers: more than 1.5x", scanned, answers)
 	}
 }
 

@@ -9,15 +9,16 @@ import (
 // FuzzBucketAddRemove drives a raw bucket index (no covering) through an
 // add/remove/re-add/stab/overlap/match sequence decoded from the fuzz input
 // and checks every answer, Len and All against a brute-force scan oracle. The
-// 16 buckets over a 256-wide dimension make widths from sub-bucket to wide,
-// and intervals hanging over either end, reachable from a few bytes; the
-// second dimension gives the fused match's verify something to reject.
+// 16 cells per 256-wide dimension make widths from sub-cell to most of the
+// extent, and intervals hanging over either end, reachable from a few bytes;
+// the second dimension's bitsets and verify give the match something to
+// reject.
 func FuzzBucketAddRemove(f *testing.F) {
 	f.Add([]byte{0x01, 0x40, 0x05, 0x10, 0x83, 0x50, 0x02, 0x00})
 	f.Add([]byte{0xfd, 0x02, 0x41, 0xf8, 0x06, 0x01, 0x03, 0xff, 0x07, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp := core.UniformSpace(2, 256)
-		ref, x := NewScan(0), NewBucket(sp.Dim(0), 0, sp.K(), 16)
+		ref, x := NewScan(0), NewBucket(sp, 0, 16)
 		nextID := core.SubscriptionID(1)
 		var live []core.SubscriptionID
 		add := func(id core.SubscriptionID, op byte, arg float64) {
@@ -68,10 +69,13 @@ func FuzzBucketAddRemove(f *testing.F) {
 					t.Fatalf("Overlapping(%v) mismatch", r)
 				}
 				m := core.NewMessage([]float64{v, arg}, nil)
-				got, _, _ = Match(x, m, nil, nil)
+				got, _, scanned = Match(x, m, nil, nil)
 				want, _, _ = Match(ref, m, nil, nil)
 				if !sameIDs(ids(got), ids(want)) {
 					t.Fatalf("Match(%v) = %v, want %v", m.Attrs, ids(got), ids(want))
+				}
+				if scanned < len(got) {
+					t.Fatalf("Match scanned %d < |answer| %d", scanned, len(got))
 				}
 			}
 			if x.Len() != ref.Len() {

@@ -40,7 +40,7 @@ type Config struct {
 	Seeds []string
 	// IndexKind selects the per-dimension index (default bucket).
 	IndexKind index.Kind
-	// IndexBuckets overrides the bucket count for the bucket index
+	// IndexBuckets overrides the bucket index's cells per dimension
 	// (default index.DefaultBuckets; ignored by the other kinds).
 	IndexBuckets int
 	// Covering enables subscription covering/aggregation on every dimension

@@ -130,9 +130,12 @@ func (m *simMatcher) serveOne(dim int) {
 	m.queued--
 	m.busyDim[dim]++
 
+	// The paper's matcher, charged the stab's scanned count: index.Match on
+	// a bucket index would count only the cuboids surviving its
+	// cross-dimension bitsets, which is not the cost the paper models.
 	// matchedSubs escapes into the completion closure, so its destination
 	// slice is fresh; the stabbing candidate buffer is reused across serves.
-	matchedSubs, cands, scanned := index.Match(m.indexes[dim], qm.m, nil, m.cands)
+	matchedSubs, cands, scanned := index.StabVerify(m.indexes[dim], qm.m, nil, m.cands)
 	m.cands = cands
 	service := int64(m.cl.cfg.BaseMatchCost) +
 		int64(m.cl.cfg.PerScanCost)*int64(scanned) +
