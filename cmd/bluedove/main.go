@@ -41,7 +41,6 @@ import (
 	"bluedove/internal/edge"
 	"bluedove/internal/federation"
 	"bluedove/internal/gossip"
-	"bluedove/internal/index"
 	"bluedove/internal/matcher"
 	"bluedove/internal/partition"
 	"bluedove/internal/store"
@@ -65,9 +64,6 @@ func main() {
 		traceRate = flag.Float64("trace-sample", 0, "fraction of publications traced hop-by-hop (0 disables, 1 traces all)")
 		dataDir   = flag.String("data-dir", "", "journal this node's state under this directory and recover it on restart; empty keeps all state in memory")
 		fsyncPol  = flag.String("fsync", "always", "journal durability policy with -data-dir: always|interval|never")
-		indexKind = flag.String("index", "bucket", "matcher: per-dimension index kind: scan|bucket|intervaltree")
-		buckets   = flag.Int("index-buckets", 0, "matcher: cells per dimension for -index bucket (0 = default)")
-		covering  = flag.Bool("covering", false, "matcher: enable subscription covering/aggregation")
 		shards    = flag.Int("match-shards", 1, "matcher: per-dimension index shards matched in parallel (e.g. NumCPU)")
 		elasticOn = flag.Bool("elastic", false, "dispatcher: run the elasticity controller in advisory mode over matcher load reports (decisions logged and exported as elastic.* telemetry)")
 		elasticIv = flag.Duration("elastic-interval", 2*time.Second, "dispatcher: elasticity controller scrape interval with -elastic")
@@ -101,22 +97,16 @@ func main() {
 	tel := nodeTelemetry(tr, core.NodeID(*id), *role, *admin, *traceRate)
 	fsync := fsyncByName(*fsyncPol)
 
-	kind, err := index.KindByName(*indexKind)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	switch *role {
 	case "matcher":
 		runMatcher(tr, space, core.NodeID(*id), *addr, seedList, *join, tel, *dataDir, fsync,
-			matchOpts{kind: kind, buckets: *buckets, covering: *covering, shards: *shards})
+			*shards)
 	case "dispatcher":
 		runDispatcher(tr, space, core.NodeID(*id), *addr, seedList, *bootstrap, *policy, tel, *dataDir, fsync,
 			elasticOpts{on: *elasticOn, interval: *elasticIv})
 	case "edge":
 		runEdge(tr, space, core.NodeID(*id), *addr, *dispAddr, tel,
-			edgeFlags{policy: *edgePol, bufferBytes: *edgeBuf, resumeWindow: *resumeWin,
-				kind: kind, buckets: *buckets, covering: *covering})
+			edgeFlags{policy: *edgePol, bufferBytes: *edgeBuf, resumeWindow: *resumeWin})
 	case "border":
 		runBorder(tr, space, core.NodeID(*id), *addr, seedList, tel,
 			borderFlags{cluster: *clusterID, peers: *peers,
@@ -198,22 +188,13 @@ func nodeTelemetry(tr *transport.TCP, id core.NodeID, role, adminAddr string, sa
 	return tel
 }
 
-// matchOpts bundles the match-path tuning flags.
-type matchOpts struct {
-	kind     index.Kind
-	buckets  int
-	covering bool
-	shards   int
-}
-
 func runMatcher(tr transport.Transport, space *core.Space, id core.NodeID,
 	addr string, seeds []string, join bool, tel *telemetry.Telemetry,
-	dataDir string, fsync store.Fsync, mo matchOpts) {
+	dataDir string, fsync store.Fsync, shards int) {
 	m, err := matcher.New(matcher.Config{
 		ID: id, Addr: addr, Space: space, Transport: tr, Seeds: seeds,
 		Telemetry: tel, DataDir: dataDir, Fsync: fsync,
-		IndexKind: mo.kind, IndexBuckets: mo.buckets,
-		Covering: mo.covering, MatchShards: mo.shards,
+		MatchShards: shards,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -265,9 +246,6 @@ type edgeFlags struct {
 	policy       string
 	bufferBytes  int
 	resumeWindow int
-	kind         index.Kind
-	buckets      int
-	covering     bool
 }
 
 func runEdge(tr transport.Transport, space *core.Space, id core.NodeID,
@@ -283,7 +261,6 @@ func runEdge(tr transport.Transport, space *core.Space, id core.NodeID,
 		ID: id, Addr: addr, Space: space, Transport: tr,
 		DispatcherAddr: dispAddr, Policy: pol,
 		BufferBytes: ef.bufferBytes, ResumeWindow: ef.resumeWindow,
-		IndexKind: ef.kind, IndexBuckets: ef.buckets, NoCovering: !ef.covering,
 		Telemetry: tel,
 	})
 	if err != nil {

@@ -21,7 +21,6 @@ import (
 	"bluedove/internal/federation"
 	"bluedove/internal/forward"
 	"bluedove/internal/gossip"
-	"bluedove/internal/index"
 	"bluedove/internal/matcher"
 	"bluedove/internal/metrics"
 	"bluedove/internal/partition"
@@ -44,14 +43,6 @@ type Options struct {
 	Strategy placement.Strategy
 	// Policy is the forwarding policy (default forward.Adaptive{}).
 	Policy forward.Policy
-	// IndexKind selects matcher indexes (default bucket).
-	IndexKind index.Kind
-	// IndexBuckets overrides the bucket index's cells per dimension (default
-	// index.DefaultBuckets; ignored by the other kinds).
-	IndexBuckets int
-	// Covering enables subscription covering/aggregation on every matcher
-	// (see matcher.Config.Covering).
-	Covering bool
 	// MatchShards partitions each matcher dimension set into this many
 	// hash shards matched in parallel (default 1; see
 	// matcher.Config.MatchShards).
@@ -228,7 +219,7 @@ func (o *Options) Validate() error {
 	// with meaningful negative values (RetryBudget, BreakerThreshold:
 	// negative disables the feature) are deliberately left alone.
 	for _, n := range []*int{
-		&o.IndexBuckets, &o.MatchShards, &o.MatcherQueueDepth,
+		&o.MatchShards, &o.MatcherQueueDepth,
 		&o.ForwardBatchCount, &o.AdmissionLimit, &o.EdgeBufferBytes,
 		&o.ResumeWindow, &o.Edges,
 	} {
@@ -540,9 +531,6 @@ func (c *Cluster) startMatcher(id core.NodeID) (*matcher.Matcher, error) {
 		Space:          c.opts.Space,
 		Transport:      tr,
 		Seeds:          c.seeds,
-		IndexKind:      c.opts.IndexKind,
-		IndexBuckets:   c.opts.IndexBuckets,
-		Covering:       c.opts.Covering,
 		MatchShards:    c.opts.MatchShards,
 		QueueDepth:     c.opts.MatcherQueueDepth,
 		ReportInterval: c.opts.ReportInterval,
@@ -628,9 +616,6 @@ func (c *Cluster) startEdge(id core.NodeID) error {
 		Policy:         c.opts.EdgePolicy,
 		BufferBytes:    c.opts.EdgeBufferBytes,
 		ResumeWindow:   c.opts.ResumeWindow,
-		IndexKind:      c.opts.IndexKind,
-		IndexBuckets:   c.opts.IndexBuckets,
-		NoCovering:     !c.opts.Covering,
 		Telemetry:      tel,
 	})
 	if err != nil {

@@ -634,9 +634,9 @@ func TestPersistentForwardingSurvivesCrash(t *testing.T) {
 	}
 }
 
-// A cluster booted with default Options matches on the bucket index the
-// option's comment promises: a stab examines a narrow window of the set it
-// searches, where a scan would examine every stored copy.
+// A cluster booted with default Options matches on the bucket index: a
+// match examines a narrow window of the set it searches, where a scan would
+// examine every stored copy.
 func TestDefaultOptionsMatchOnBucketIndex(t *testing.T) {
 	c, err := Start(fastOptions(4))
 	if err != nil {

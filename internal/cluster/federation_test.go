@@ -125,7 +125,7 @@ func TestFederationRouting(t *testing.T) {
 // TestFederationEquivalence checks the federation's core property: the set
 // of (subscriber predicate, publication) deliveries in a two-cluster
 // federation equals the delivery set of one flat cluster with the same
-// subscriptions and publications — covering riders included.
+// subscriptions and publications.
 func TestFederationEquivalence(t *testing.T) {
 	seed := chaosSeed(t)
 	rng := rand.New(rand.NewSource(seed))
@@ -137,8 +137,8 @@ func TestFederationEquivalence(t *testing.T) {
 	}
 	var subs []subSpec
 	// A mix of narrow and wide subscriptions across both clusters, plus a
-	// covered pair (one subscription strictly inside another) to exercise
-	// covering riders across the summary path.
+	// nested pair (one subscription strictly inside another) that shares
+	// summary intervals.
 	for i := 0; i < 8; i++ {
 		var preds []core.Range
 		for d := 0; d < 4; d++ {
@@ -177,7 +177,6 @@ func TestFederationEquivalence(t *testing.T) {
 	}
 
 	opts := fedOptions(2)
-	opts.Covering = true
 	f, err := StartFederated(2, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -70,7 +70,6 @@ func TestValidateClamps(t *testing.T) {
 			name: "negative sizes fall back to defaults",
 			in: Options{
 				Space:             space,
-				IndexBuckets:      -4,
 				MatcherQueueDepth: -1,
 				ForwardBatchCount: -10,
 				EdgeBufferBytes:   -1,
@@ -79,7 +78,6 @@ func TestValidateClamps(t *testing.T) {
 			},
 			check: func(t *testing.T, o Options) {
 				for name, n := range map[string]int{
-					"IndexBuckets":      o.IndexBuckets,
 					"MatcherQueueDepth": o.MatcherQueueDepth,
 					"ForwardBatchCount": o.ForwardBatchCount,
 					"EdgeBufferBytes":   o.EdgeBufferBytes,

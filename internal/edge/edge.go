@@ -8,7 +8,7 @@
 // dispatcher — the bounding cuboid of every local session predicate,
 // widened (never shrunk) as sessions subscribe — and re-matches each
 // incoming DeliverBatch against a per-edge subscription table built on
-// internal/index (covering included). Matched publications are
+// internal/index's bucket index. Matched publications are
 // sequence-stamped per session and pushed as KindEdgeDeliver frames.
 //
 // The hot path is an epoll-style readiness loop, not a goroutine pair per
@@ -139,14 +139,7 @@ type Config struct {
 	SessionRetention time.Duration
 	// FlushWorkers sizes the readiness-loop worker pool (default 4).
 	FlushWorkers int
-	// IndexKind selects the per-edge subscription index (default bucket).
-	IndexKind index.Kind
-	// IndexBuckets overrides the bucket index's cells per dimension (0 =
-	// default).
-	IndexBuckets int
-	// Covering wraps the table with subscription covering/aggregation, so
-	// templated session predicates collapse to one indexed entry per shape
-	// (default on; set NoCovering to disable).
+	// Deprecated: ignored; the edge always runs the bucket index.
 	NoCovering bool
 	// RequestTimeout bounds the upstream subscribe round-trip (default 5s).
 	RequestTimeout time.Duration
@@ -351,14 +344,9 @@ func New(cfg Config) (*Edge, error) {
 	if cfg.Now == nil {
 		cfg.Now = func() int64 { return time.Now().UnixNano() }
 	}
-	base := index.NewSized(cfg.IndexKind, cfg.Space, 0, cfg.IndexBuckets)
-	var idx index.Index = base
-	if !cfg.NoCovering {
-		idx = index.NewCovering(base)
-	}
 	e := &Edge{
 		cfg:      cfg,
-		idx:      idx,
+		idx:      index.New(index.KindBucket, cfg.Space, 0),
 		sessions: make(map[uint64]*session),
 		perSess:  make(map[uint64]int, 8),
 		stop:     make(chan struct{}),

@@ -849,8 +849,8 @@ func TestPolicyByName(t *testing.T) {
 	}
 }
 
-// A Config that leaves IndexKind unset re-matches sessions on the bucket
-// index its comment promises, wrapped in covering unless NoCovering.
+// Every edge re-matches sessions on the bucket index, whatever the ignored
+// NoCovering field says.
 func TestEdgeDefaultIndexIsBucket(t *testing.T) {
 	mesh := transport.NewMesh(0)
 	defer mesh.Close()
@@ -860,13 +860,11 @@ func TestEdgeDefaultIndexIsBucket(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, isBucket := e.idx.(*index.Bucket)
-		_, isCovering := e.idx.(*index.Covering)
-		if noCovering != isBucket || noCovering == isCovering {
+		if _, ok := e.idx.(*index.Bucket); !ok {
 			t.Fatalf("NoCovering=%v: table is %T", noCovering, e.idx)
 		}
-		// Disjoint one-unit predicates: covering collapses nothing, so a stab
-		// examines what the base index examines — a scan would examine all.
+		// Disjoint one-unit predicates: a stab examines one cell's worth of
+		// them, where a scan would examine all.
 		for i := 0; i < 100; i++ {
 			s := core.NewSubscription(core.SubscriberID(i+1), []core.Range{
 				{Low: float64(i), High: float64(i) + 1}, {Low: 0, High: 100}})
@@ -886,7 +884,7 @@ func TestEdgeFanOutReusesBuffers(t *testing.T) {
 	mesh := transport.NewMesh(0)
 	defer mesh.Close()
 	e, err := New(Config{ID: 9, Space: core.UniformSpace(2, 100), Transport: mesh.Endpoint("edge"),
-		DispatcherAddr: "disp", NoCovering: true})
+		DispatcherAddr: "disp"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,12 @@ func benchIndex(b *testing.B, idx Index, nsubs int, predLen float64) {
 		msgs[i] = core.NewMessage([]float64{rng.Float64() * 1000, rng.Float64() * 1000,
 			rng.Float64() * 1000, rng.Float64() * 1000}, nil)
 	}
+	benchMatch(b, idx, msgs)
+}
+
+// benchMatch times Match over msgs, round robin, and reports the entries
+// examined per match.
+func benchMatch(b *testing.B, idx Index, msgs []*core.Message) {
 	var dst, cands []*core.Subscription
 	totScan := 0
 	b.ResetTimer()
@@ -41,24 +47,30 @@ func benchIndex(b *testing.B, idx Index, nsubs int, predLen float64) {
 }
 
 // BenchmarkMatch runs full matches of uniform messages against paper-width
-// (250 of 1000 on every dimension) subscriptions. The covering/bucket rows
-// wrap the default index in Covering, which stabs and then verifies.
+// (250 of 1000 on every dimension) subscriptions. The bucket/templated row
+// stores 40,000 subscriptions copied from 2,000 paper-workload cuboids, the
+// set where many subscriptions share one cuboid, and matches paper-workload
+// messages against it.
 func BenchmarkMatch(b *testing.B) {
 	sp := core.UniformSpace(4, 1000)
-	for _, kind := range []string{"scan", "bucket", "intervaltree", "covering/bucket"} {
+	for _, kind := range []Kind{KindScan, KindBucket, KindIntervalTree} {
 		for _, n := range []int{1000, 10000} {
 			b.Run(fmt.Sprintf("%s/subs=%d", kind, n), func(b *testing.B) {
-				var idx Index
-				if kind == "covering/bucket" {
-					idx = NewCovering(New(KindBucket, sp, 0))
-				} else {
-					k, _ := KindByName(kind)
-					idx = New(k, sp, 0)
-				}
-				benchIndex(b, idx, n, 250)
+				benchIndex(b, New(kind, sp, 0), n, 250)
 			})
 		}
 	}
+	b.Run("bucket/templated", func(b *testing.B) {
+		gen := workload.New(workload.Default(sp))
+		shapes := gen.Subscriptions(2000)
+		idx := New(KindBucket, sp, 0)
+		for i := 1; i <= 40000; i++ {
+			s := core.NewSubscription(core.SubscriberID(i), shapes[i%len(shapes)].Predicates)
+			s.ID = core.SubscriptionID(i)
+			idx.Add(s)
+		}
+		benchMatch(b, idx, gen.Messages(512))
+	})
 }
 
 // paperSub returns a subscription with a paper-width (250 of 1000) predicate

@@ -104,9 +104,10 @@ func TestBucketMixedWidthEquivalence(t *testing.T) {
 // Match returns the scan oracle's answer as a set, having verified at least
 // that many cuboids, under churn that mixes widths on every dimension
 // (sub-cell, one cell, a quarter of the extent and just over, overhanging
-// either end, reaching far past Max, wholly outside), reuses slots and re-adds
-// live IDs, probed with attributes inside, outside and NaN on every dimension.
-// Once the index is drained, nothing survives the bitsets.
+// either end, reaching far past Max, wholly outside), copies live cuboids
+// exactly or shrunk inside them so that many IDs share cells, reuses slots and
+// re-adds live IDs, probed with attributes inside, outside and NaN on every
+// dimension. Once the index is drained, nothing survives the bitsets.
 func TestBucketMatchEqualsScanOracle(t *testing.T) {
 	const extent = 1000.0
 	oneCell := extent / DefaultBuckets
@@ -140,11 +141,28 @@ func TestBucketMatchEqualsScanOracle(t *testing.T) {
 				return core.Range{Low: lo, High: lo + w}
 			}
 		}
+		var live []core.SubscriptionID
+		cuboid := make(map[core.SubscriptionID][]core.Range) // by live ID
+		// mk draws a fresh cuboid, or one that shares cells with a live
+		// subscription: its exact copy, or the copy shrunk inside it by up to
+		// a tenth of its width on each side.
 		mk := func(id core.SubscriptionID) *core.Subscription {
 			preds := make([]core.Range, testSpace.K())
-			for d := range preds {
-				preds[d] = pred()
+			switch op := rng.Intn(8); {
+			case op < 2 && len(live) > 0:
+				copy(preds, cuboid[live[rng.Intn(len(live))]])
+				if op == 1 {
+					for d, r := range preds {
+						w := math.Min(r.Length(), extent)
+						preds[d] = core.Range{Low: r.Low + 0.1*w*rng.Float64(), High: r.High - 0.1*w*rng.Float64()}
+					}
+				}
+			default:
+				for d := range preds {
+					preds[d] = pred()
+				}
 			}
+			cuboid[id] = preds
 			s := core.NewSubscription(core.SubscriberID(id), preds)
 			s.ID = id
 			return s
@@ -164,7 +182,6 @@ func TestBucketMatchEqualsScanOracle(t *testing.T) {
 			}
 		}
 		ref, x := NewScan(dim), New(KindBucket, testSpace, dim).(*Bucket)
-		var live []core.SubscriptionID
 		nextID := core.SubscriptionID(1)
 		matches := 0
 		for step := 0; step < 8000; step++ {
@@ -181,6 +198,7 @@ func TestBucketMatchEqualsScanOracle(t *testing.T) {
 				if !x.Remove(live[k]) {
 					t.Fatalf("dim %d step %d: Remove(%v) of a live ID returned false", dim, step, live[k])
 				}
+				delete(cuboid, live[k])
 				live[k] = live[len(live)-1]
 				live = live[:len(live)-1]
 			case op < 7: // re-add a live ID with a new cuboid

@@ -6,10 +6,9 @@ import (
 	"bluedove/internal/core"
 )
 
-// FuzzBucketAddRemove drives a raw bucket index (no covering) through an
-// add/remove/re-add/stab/overlap/match sequence decoded from the fuzz input
-// and checks every answer, Len and All against a brute-force scan oracle. The
-// 16 cells per 256-wide dimension make widths from sub-cell to most of the
+// FuzzBucketAddRemove drives a bucket index through an add/remove/re-add/
+// stab/overlap/match sequence decoded from the fuzz input and checks every
+// answer, Len and All against a brute-force scan oracle. The 16 cells per 256-wide dimension make widths from sub-cell to most of the
 // extent, and intervals hanging over either end, reachable from a few bytes;
 // the second dimension's bitsets and verify give the match something to
 // reject.
@@ -83,73 +82,6 @@ func FuzzBucketAddRemove(f *testing.F) {
 			}
 		}
 		if !sameIDs(ids(x.All(nil)), ids(ref.All(nil))) {
-			t.Fatal("All mismatch after sequence")
-		}
-	})
-}
-
-// FuzzCoveringAddRemove drives a covering-wrapped bucket index through an
-// arbitrary add/remove/stab/overlap sequence decoded from the fuzz input and
-// checks every answer against a brute-force scan oracle. The cover table's
-// attach/demote/re-expose transitions are all reachable from small inputs:
-// cuboid sizes derive from the input bytes, so nested shapes are common.
-func FuzzCoveringAddRemove(f *testing.F) {
-	f.Add([]byte{0x01, 0x40, 0x02, 0x10, 0x83, 0x50})
-	f.Add([]byte{0x01, 0xff, 0x01, 0x80, 0x01, 0x20, 0x81, 0x81, 0xc0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sp := core.UniformSpace(2, 256)
-		ref := NewScan(0)
-		cov := NewCovering(New(KindBucket, sp, 0))
-		nextID := core.SubscriptionID(1)
-		var live []core.SubscriptionID
-		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i], float64(data[i+1])
-			switch op % 4 {
-			case 0, 1: // add: cuboid centered on arg, size from op's high bits
-				half := float64(op>>2) + 0.5
-				preds := []core.Range{
-					{Low: arg - half, High: arg + half},
-					{Low: arg / 2, High: arg/2 + half*2},
-				}
-				s := core.NewSubscription(core.SubscriberID(nextID), preds)
-				s.ID = nextID
-				nextID++
-				live = append(live, s.ID)
-				ref.Add(s)
-				cov.Add(s)
-			case 2: // remove an arbitrary live subscription
-				if len(live) == 0 {
-					continue
-				}
-				k := int(arg) % len(live)
-				id := live[k]
-				live[k] = live[len(live)-1]
-				live = live[:len(live)-1]
-				if ref.Remove(id) != cov.Remove(id) {
-					t.Fatalf("Remove(%v) presence mismatch", id)
-				}
-			case 3: // stab + overlap, answers must agree with the oracle
-				want, _ := ref.Stab(arg, nil)
-				got, scanned := cov.Stab(arg, nil)
-				if !sameIDs(ids(got), ids(want)) {
-					t.Fatalf("Stab(%g) = %v, want %v", arg, ids(got), ids(want))
-				}
-				if scanned < len(got) {
-					t.Fatalf("scanned %d < |answer| %d", scanned, len(got))
-				}
-				r := core.Range{Low: arg - 3, High: arg + float64(op>>4) + 1}
-				if !sameIDs(ids(cov.Overlapping(r, nil)), ids(ref.Overlapping(r, nil))) {
-					t.Fatalf("Overlapping(%v) mismatch", r)
-				}
-			}
-			if cov.Len() != ref.Len() {
-				t.Fatalf("Len drift: covering %d, oracle %d", cov.Len(), ref.Len())
-			}
-			if cov.IndexedLen() > cov.Len() {
-				t.Fatal("IndexedLen exceeds Len")
-			}
-		}
-		if !sameIDs(ids(cov.All(nil)), ids(ref.All(nil))) {
 			t.Fatal("All mismatch after sequence")
 		}
 	})

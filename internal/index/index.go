@@ -6,11 +6,9 @@
 // query: find every subscription whose predicate on dimension i contains the
 // message's value on i, then verify the remaining dimensions.
 //
-// Three implementations are provided:
+// Matchers and edges run the bucket index; the other two kinds serve the
+// tests and the simulator:
 //
-//   - Scan: brute-force over all stored subscriptions. The reference
-//     implementation used for correctness testing and as the cost model for
-//     the full-replication baseline.
 //   - Bucket (the zero Kind): every dimension is cut into equal cells, and
 //     each cell keeps a bitset over the stored subscriptions' slots whose
 //     predicate on that dimension meets the cell. Match ANDs the k bitsets of
@@ -20,6 +18,9 @@
 //     subscription that does not match. Its scanned count is the number of
 //     cuboids verified and its results come in slot order. Stab and
 //     Overlapping use the one dimension's bitsets.
+//   - Scan: brute-force over all stored subscriptions. The reference
+//     implementation used for correctness testing and as the cost model for
+//     the full-replication baseline.
 //   - IntervalTree: a centered interval tree rebuilt lazily after batches of
 //     updates.
 //
@@ -88,20 +89,6 @@ func (k Kind) String() string {
 		return "intervaltree"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
-
-// KindByName parses a kind name as printed by Kind.String.
-func KindByName(name string) (Kind, error) {
-	switch name {
-	case "scan":
-		return KindScan, nil
-	case "bucket":
-		return KindBucket, nil
-	case "intervaltree":
-		return KindIntervalTree, nil
-	default:
-		return 0, fmt.Errorf("index: unknown kind %q (want scan|bucket|intervaltree)", name)
 	}
 }
 

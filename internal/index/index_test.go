@@ -303,3 +303,24 @@ func TestIndexCostSanity(t *testing.T) {
 		t.Errorf("tree scanned %d, scan %d: expected <50%%", totTree, totScan)
 	}
 }
+
+// The steady-state match hot path must not allocate: stab with a reused
+// candidate buffer, verify, append into a reused destination.
+func TestMatchZeroAlloc(t *testing.T) {
+	for _, kind := range []Kind{KindScan, KindBucket, KindIntervalTree} {
+		idx := New(kind, testSpace, 0)
+		rng := rand.New(rand.NewSource(3))
+		for i := 1; i <= 500; i++ {
+			idx.Add(randSub(rng, core.SubscriptionID(i), 300))
+		}
+		msg := core.NewMessage([]float64{500, 500, 500}, nil)
+		var dst, cands []*core.Subscription
+		dst, cands, _ = Match(idx, msg, dst[:0], cands) // warm capacities
+		allocs := testing.AllocsPerRun(100, func() {
+			dst, cands, _ = Match(idx, msg, dst[:0], cands)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs/op on the match hot path, want 0", kind, allocs)
+		}
+	}
+}

@@ -38,17 +38,6 @@ type Config struct {
 	Transport transport.Transport
 	// Seeds are gossip bootstrap addresses.
 	Seeds []string
-	// IndexKind selects the per-dimension index (default bucket).
-	IndexKind index.Kind
-	// IndexBuckets overrides the bucket index's cells per dimension
-	// (default index.DefaultBuckets; ignored by the other kinds).
-	IndexBuckets int
-	// Covering enables subscription covering/aggregation on every dimension
-	// set: a subscription whose cuboid is contained by an already-stored one
-	// rides in a cover table instead of the stabbing index, collapsing
-	// templated multi-tenant workloads to one indexed entry per predicate
-	// shape (see index.Covering).
-	Covering bool
 	// MatchShards partitions each dimension set into this many
 	// subscription-ID-hashed shards whose stab+verify work is matched in
 	// parallel on a shared worker pool (default 1 — the single-index layout;
@@ -162,23 +151,6 @@ func (ds *dimSet) subsCount() int {
 	return n
 }
 
-// indexedCount returns the number of entries in the stabbing indexes across
-// all shards — with covering enabled this is the cover count, and
-// subsCount()/indexedCount() is the covering collapse ratio.
-func (ds *dimSet) indexedCount() int {
-	n := 0
-	for _, sh := range ds.shards {
-		sh.mu.RLock()
-		if cov, ok := sh.idx.(*index.Covering); ok {
-			n += cov.IndexedLen()
-		} else {
-			n += sh.idx.Len()
-		}
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
 // Matcher is a running matching server.
 type Matcher struct {
 	cfg  Config
@@ -272,12 +244,8 @@ func New(cfg Config) (*Matcher, error) {
 	for i := 0; i < k; i++ {
 		ds := &dimSet{shards: make([]*indexShard, cfg.MatchShards)}
 		for j := range ds.shards {
-			idx := index.NewSized(cfg.IndexKind, cfg.Space, i, cfg.IndexBuckets)
-			if cfg.Covering {
-				idx = index.NewCovering(idx)
-			}
 			ds.shards[j] = &indexShard{
-				idx:   idx,
+				idx:   index.New(index.KindBucket, cfg.Space, i),
 				addrs: make(map[core.SubscriptionID]string),
 			}
 		}
@@ -506,10 +474,6 @@ func (m *Matcher) unsubscribe(id core.SubscriptionID) {
 // SubsOnDim returns the subscription count of one dimension set.
 func (m *Matcher) SubsOnDim(dim int) int { return m.dims[dim].subsCount() }
 
-// IndexedOnDim returns the stabbing-index entry count of one dimension set:
-// equal to SubsOnDim without covering, the cover count with it.
-func (m *Matcher) IndexedOnDim(dim int) int { return m.dims[dim].indexedCount() }
-
 // SetServiceThrottle adds d of synthetic service time per dequeued message
 // (0 restores full speed). Used by overload chaos scenarios to throttle one
 // matcher's service rate mid-burst — unlike a slow link, this backs messages
@@ -651,9 +615,7 @@ func (m *Matcher) adopt(id uint64) bool {
 // target matcher as one range-bounded transfer frame (join, leave and split
 // protocols). The frame carries the originator's idempotency key, so a
 // handover re-issued after a crash mid-transfer produces a byte-identical
-// TransferID and the target's adoption guard drops the duplicate. With
-// covering enabled, Overlapping enumerates covered subscriptions too, so
-// riders move with their covers.
+// TransferID and the target's adoption guard drops the duplicate.
 func (m *Matcher) handover(b *wire.HandoverBody) {
 	ds := m.dims[b.Dim]
 	r := core.Range{Low: b.Low, High: b.High}

@@ -1,6 +1,8 @@
 package matcher
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,7 +29,7 @@ type harness struct {
 func newHarness(t *testing.T) *harness { return newHarnessMut(t, nil) }
 
 // newHarnessMut builds the harness with a config hook for tests exercising
-// non-default match-path layouts (covering, shards, index kinds).
+// non-default configs (shards, clock).
 func newHarnessMut(t *testing.T, mut func(*Config)) *harness {
 	t.Helper()
 	h := &harness{mesh: transport.NewMesh(0)}
@@ -352,6 +354,194 @@ func TestTTLShedAtDequeue(t *testing.T) {
 			}
 			if got := h.m.Delivered.Value(); got != int64(wantDelivered) {
 				t.Errorf("Delivered = %d, want %d", got, wantDelivered)
+			}
+		})
+	}
+}
+
+// mkBox builds a 2-dim subscription over testSpace with its own subscriber.
+func mkBox(id core.SubscriptionID, lo0, hi0, lo1, hi1 float64) *core.Subscription {
+	s := core.NewSubscription(core.SubscriberID(id), []core.Range{{Low: lo0, High: hi0}, {Low: lo1, High: hi1}})
+	s.ID = id
+	return s
+}
+
+// TestMatchCorrectnessAllConfigs runs the same store-forward-deliver
+// workload through the inline and the sharded match path and checks the
+// delivered (subscriber, message, subscription) set against the brute-force
+// oracle.
+func TestMatchCorrectnessAllConfigs(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	var subs []*core.Subscription
+	for i := 1; i <= 60; i++ {
+		lo0, lo1 := rng.Float64()*80, rng.Float64()*80
+		s := mkBox(core.SubscriptionID(i), lo0, lo0+rng.Float64()*30+1, lo1, lo1+rng.Float64()*30+1)
+		if i%4 == 0 && i > 4 {
+			// Shrink an earlier cuboid: nested subscriptions share cells.
+			p := subs[i-5].Predicates
+			s = mkBox(core.SubscriptionID(i),
+				p[0].Low+1, p[0].High-1, p[1].Low+1, p[1].High-1)
+		}
+		subs = append(subs, s)
+	}
+	var msgs []*core.Message
+	for i := 0; i < 40; i++ {
+		m := core.NewMessage([]float64{rng.Float64() * 100, rng.Float64() * 100}, nil)
+		m.ID = core.MessageID(i + 1)
+		msgs = append(msgs, m)
+	}
+	type pair struct {
+		sub core.SubscriptionID
+		msg core.MessageID
+	}
+	want := map[pair]bool{}
+	for _, s := range subs {
+		for _, m := range msgs {
+			if s.Matches(m) {
+				want[pair{s.ID, m.ID}] = true
+			}
+		}
+	}
+
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			h := newHarnessMut(t, func(c *Config) { c.MatchShards = shards })
+			for _, s := range subs {
+				h.send(t, wire.KindStore, (&wire.StoreBody{Dim: 0, Sub: s, DeliverAddr: "peer"}).Encode())
+			}
+			waitFor(t, func() bool { return h.m.SubsOnDim(0) == len(subs) })
+			var entries []wire.ForwardEntry
+			for _, m := range msgs {
+				entries = append(entries, wire.ForwardEntry{Dim: 0, Msg: m})
+			}
+			h.send(t, wire.KindForwardBatch, (&wire.ForwardBatchBody{Entries: entries}).Encode())
+			waitFor(t, func() bool { return h.m.Processed.Value() == int64(len(msgs)) })
+
+			got := map[pair]bool{}
+			for _, env := range h.received(wire.KindDeliverBatch) {
+				b, err := wire.DecodeDeliverBatch(env.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range b.Deliveries {
+					for _, id := range d.SubIDs {
+						p := pair{id, d.Msg.ID}
+						if got[p] {
+							t.Fatalf("duplicate delivery %+v", p)
+						}
+						got[p] = true
+					}
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("delivered %d pairs, want %d", len(got), len(want))
+			}
+			for p := range want {
+				if !got[p] {
+					t.Fatalf("missing delivery %+v", p)
+				}
+			}
+			if int64(len(want)) != h.m.Matched.Value() {
+				t.Fatalf("Matched=%d, want %d", h.m.Matched.Value(), len(want))
+			}
+		})
+	}
+}
+
+// TestParallelMatchStress hammers the sharded match path with concurrent
+// subscription churn (Add/Remove through the shard write locks) while
+// forwarded batches fan stab+verify work across the worker pool — the
+// mutation-vs-read concurrency contract under -race.
+func TestParallelMatchStress(t *testing.T) {
+	h := newHarnessMut(t, func(c *Config) { c.MatchShards = 4 })
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			// Each churner cycles through a fixed window of IDs, re-storing
+			// (replacing) them, so the live set and the deliveries per
+			// message stay bounded however fast stores run.
+			const window = 1000
+			base := core.SubscriptionID(seed * 100000)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := base + core.SubscriptionID(i%window)
+				lo0, lo1 := rng.Float64()*80, rng.Float64()*80
+				h.m.store(0, mkBox(id, lo0, lo0+15, lo1, lo1+15), "peer")
+				if rng.Intn(3) == 0 {
+					h.m.unsubscribe(base + core.SubscriptionID(rng.Intn(window)))
+				}
+			}
+		}(int64(w + 1))
+	}
+	rng := rand.New(rand.NewSource(9))
+	var mid core.MessageID
+	for round := 0; round < 40; round++ {
+		var entries []wire.ForwardEntry
+		for i := 0; i < 64; i++ {
+			mid++
+			m := core.NewMessage([]float64{rng.Float64() * 100, rng.Float64() * 100}, nil)
+			m.ID = mid
+			entries = append(entries, wire.ForwardEntry{Dim: 0, Msg: m})
+		}
+		h.send(t, wire.KindForwardBatch, (&wire.ForwardBatchBody{Entries: entries}).Encode())
+	}
+	waitFor(t, func() bool { return h.m.Processed.Value() == int64(mid) })
+	close(stop)
+	wg.Wait()
+	if h.m.Dropped.Value() != 0 {
+		t.Fatalf("stress dropped %d messages", h.m.Dropped.Value())
+	}
+}
+
+// TestMatchBatchZeroAlloc pins the steady-state batched match path at zero
+// allocations per message, on both the inline single-shard layout and the
+// parallel multi-shard layout.
+func TestMatchBatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pin runs without -race")
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			m, err := New(Config{
+				ID: 1, Addr: "bench", Space: testSpace, Transport: nullTransport{},
+				MatchShards: shards,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if m.pool != nil {
+					m.pool.stop()
+				}
+			}()
+			rng := rand.New(rand.NewSource(5))
+			for i := 1; i <= 400; i++ {
+				lo0, lo1 := rng.Float64()*70, rng.Float64()*70
+				m.store(0, mkBox(core.SubscriptionID(i), lo0, lo0+25, lo1, lo1+25), "sink")
+			}
+			batch := make([]*core.Message, 64)
+			for i := range batch {
+				msg := core.NewMessage([]float64{rng.Float64() * 100, rng.Float64() * 100}, nil)
+				msg.ID = core.MessageID(i + 1)
+				batch[i] = msg
+			}
+			ds := m.dims[0]
+			run := func() { m.matchBatch(ds, 0, forwardItem{msgs: batch}) }
+			for i := 0; i < 5; i++ {
+				run() // warm the pooled scratch, shard jobs and encode buffers
+			}
+			allocs := testing.AllocsPerRun(50, run)
+			perMsg := allocs / float64(len(batch))
+			if perMsg != 0 {
+				t.Errorf("%.4f allocs/msg on the batched match path, want 0", perMsg)
 			}
 		})
 	}

@@ -9,8 +9,8 @@ import (
 // periodically asks every local matcher for the per-dimension union of its
 // stored subscriptions' predicates (KindSummaryRequest); the border merges
 // those unions into the cluster summary it gossips to peer clusters. The
-// computation rides the same covering/All enumeration the handover path
-// uses, so covered riders are included and replicated copies dedup by ID.
+// computation enumerates every shard's index with All, and copies of one
+// subscription stored on several dimension sets dedup by ID.
 
 // summaryMaxRanges caps the per-dimension interval count of one matcher's
 // response. Borders re-merge and re-cap across matchers, so this only

@@ -48,9 +48,6 @@ func (m *Matcher) registerTelemetry() {
 		r.Gauge("matcher.stage.subs", "subscriptions stored on this dimension", func(int64) float64 {
 			return float64(set.subsCount())
 		}, dim)
-		r.Gauge("matcher.stage.indexed_subs", "stabbing-index entries on this dimension (covers only under covering)", func(int64) float64 {
-			return float64(set.indexedCount())
-		}, dim)
 	}
 	if m.jnl != nil {
 		m.jnl.Register(r)
