@@ -12,8 +12,10 @@
 // sequence-stamped per session and pushed as KindEdgeDeliver frames.
 //
 // The hot path is an epoll-style readiness loop, not a goroutine pair per
-// session: fan-in appends to per-session bounded buffers and marks the
-// session ready; a small fixed pool of flush workers drains ready sessions.
+// session: fan-in encodes each publication once, appends a copy to every
+// matching session's bounded buffer and hands the sessions it made ready to
+// a small fixed pool of flush workers in one batch; each worker drains a
+// batch of ready sessions at a time.
 // The per-connection read goroutines belong to the transport layer — the
 // edge itself adds no per-session goroutines.
 //
@@ -250,25 +252,36 @@ type readyQueue struct {
 	closed bool
 }
 
-func (rq *readyQueue) push(s *session) {
+// push queues ss with one lock round-trip and one wake-up; a worker that
+// leaves sessions behind wakes the next (see popAll).
+func (rq *readyQueue) push(ss ...*session) {
+	if len(ss) == 0 {
+		return
+	}
 	rq.mu.Lock()
-	rq.q = append(rq.q, s)
+	rq.q = append(rq.q, ss...)
 	rq.mu.Unlock()
 	rq.cond.Signal()
 }
 
-func (rq *readyQueue) pop() (*session, bool) {
+// popAll waits for ready sessions and moves a fair share of them — the
+// queue's length over the worker count, rounded up — into dst, which it
+// empties first. A worker that leaves sessions behind wakes another, so a
+// burst spreads over the pool instead of queueing behind one worker.
+func (rq *readyQueue) popAll(dst []*session, workers int) ([]*session, bool) {
 	rq.mu.Lock()
-	defer rq.mu.Unlock()
 	for len(rq.q) == 0 && !rq.closed {
 		rq.cond.Wait()
 	}
-	if len(rq.q) == 0 {
-		return nil, false
+	n := (len(rq.q) + workers - 1) / workers
+	dst = append(dst[:0], rq.q[:n]...)
+	rq.q = dropFront(rq.q, n)
+	more := len(rq.q) > 0
+	rq.mu.Unlock()
+	if more {
+		rq.cond.Signal()
 	}
-	s := rq.q[0]
-	rq.q = rq.q[1:]
-	return s, true
+	return dst, n > 0
 }
 
 func (rq *readyQueue) close() {
@@ -297,18 +310,18 @@ func (fq *faninQueue) push(msg *core.Message) {
 	fq.cond.Signal()
 }
 
-func (fq *faninQueue) pop() (*core.Message, bool) {
+// popAll waits for staged publications and swaps the whole queue for spare
+// (emptied first), so the fan-in worker drains a backlog in one lock
+// round-trip. The caller clears the returned slice before passing it back.
+func (fq *faninQueue) popAll(spare []*core.Message) ([]*core.Message, bool) {
 	fq.mu.Lock()
 	defer fq.mu.Unlock()
 	for len(fq.q) == 0 && !fq.closed {
 		fq.cond.Wait()
 	}
-	if len(fq.q) == 0 {
-		return nil, false
-	}
-	msg := fq.q[0]
-	fq.q = fq.q[1:]
-	return msg, true
+	out := fq.q
+	fq.q = spare[:0]
+	return out, len(out) > 0
 }
 
 func (fq *faninQueue) close() {
@@ -316,6 +329,18 @@ func (fq *faninQueue) close() {
 	fq.closed = true
 	fq.mu.Unlock()
 	fq.cond.Broadcast()
+}
+
+// dropFront removes the first n elements of q in place and clears the
+// vacated tail, so the dropped values are not pinned by the backing array
+// and later appends reuse its capacity instead of reallocating.
+func dropFront[T any](q []T, n int) []T {
+	if n == 0 {
+		return q
+	}
+	m := copy(q, q[n:])
+	clear(q[m:])
+	return q[:m]
 }
 
 // New builds an edge server.
@@ -530,13 +555,17 @@ func (e *Edge) stage(msg *core.Message) {
 // backpressured session may stall — control frames keep flowing regardless.
 func (e *Edge) faninWorker() {
 	defer e.wg.Done()
+	var batch []*core.Message
 	for {
-		msg, ok := e.fanin.pop()
-		if !ok {
+		var ok bool
+		if batch, ok = e.fanin.popAll(batch); !ok {
 			return
 		}
-		e.staged.Add(-1)
-		e.fanOutMsg(msg)
+		for _, msg := range batch {
+			e.staged.Add(-1)
+			e.fanOutMsg(msg)
+		}
+		clear(batch)
 	}
 }
 
@@ -813,9 +842,7 @@ func (e *Edge) trimAckedLocked(s *session) {
 		e.bufferedBytes.Add(-int64(s.ring[i].size))
 		i++
 	}
-	if i > 0 {
-		s.ring = s.ring[i:]
-	}
+	s.ring = dropFront(s.ring, i)
 }
 
 // Detach simulates a connection loss for the session with the given token
@@ -857,12 +884,16 @@ func (e *Edge) detach(s *session) {
 // flight window stops flushing at ResumeWindow entries instead, so nothing
 // sent-but-unacked is ever evicted. Caller holds s.mu.
 func (e *Edge) trimRingLocked(s *session) {
-	for len(s.ring) > e.cfg.ResumeWindow {
-		e.bufferedBytes.Add(-int64(s.ring[0].size))
-		s.ringBytes -= s.ring[0].size
-		s.ring = s.ring[1:]
-		e.ringEvicted.Add(1)
+	n := len(s.ring) - e.cfg.ResumeWindow
+	if n <= 0 {
+		return
 	}
+	for _, old := range s.ring[:n] {
+		e.bufferedBytes.Add(-int64(old.size))
+		s.ringBytes -= old.size
+	}
+	s.ring = dropFront(s.ring, n)
+	e.ringEvicted.Add(int64(n))
 }
 
 // CloseSession ends a session for good (the KindSessionClose path): its
@@ -956,7 +987,9 @@ func (e *Edge) sweepExpired(now int64) int {
 }
 
 // fanOutMsg re-matches one upstream publication against the per-edge table
-// and appends the encoded delivery to every matching session's buffer.
+// and appends a delivery to every matching session's buffer. The publication
+// is encoded once; each session's frame copies those bytes. Sessions it makes
+// ready reach the flush pool in one hand-off.
 func (e *Edge) fanOutMsg(msg *core.Message) {
 	if msg == nil || len(msg.Attrs) != e.cfg.Space.K() {
 		return
@@ -967,6 +1000,7 @@ func (e *Edge) fanOutMsg(msg *core.Message) {
 		ids []core.SubscriptionID
 	}
 	var targets []target
+	var ids []core.SubscriptionID
 	e.fanMu.Lock()
 	e.mu.RLock()
 	if e.closed {
@@ -983,9 +1017,18 @@ func (e *Edge) fanOutMsg(msg *core.Message) {
 			if s == nil {
 				continue
 			}
+			if targets == nil {
+				targets = make([]target, 0, len(e.matched))
+				ids = make([]core.SubscriptionID, 0, len(e.matched))
+			}
 			e.perSess[tok] = len(targets)
-			targets = append(targets, target{s: s})
-			i = len(targets) - 1
+			// Each session's list starts as a full-capacity window onto the
+			// shared one, so the common one-match session costs no
+			// allocation and a second match copies instead of overwriting
+			// the next session's.
+			ids = append(ids, sub.ID)
+			targets = append(targets, target{s: s, ids: ids[len(ids)-1 : len(ids) : len(ids)]})
+			continue
 		}
 		targets[i].ids = append(targets[i].ids, sub.ID)
 	}
@@ -994,41 +1037,67 @@ func (e *Edge) fanOutMsg(msg *core.Message) {
 	clear(e.perSess)
 	e.mu.RUnlock()
 	e.fanMu.Unlock()
-	now := e.cfg.Now()
-	for _, t := range targets {
-		e.append(t.s, msg, t.ids, now)
+	if len(targets) == 0 {
+		return
 	}
+	enc := wire.AppendMessage(nil, msg)
+	ready := make([]*session, 0, len(targets))
+	appended := 0
+	for _, t := range targets {
+		ok, isReady := e.append(t.s, enc, t.ids, &ready)
+		if ok {
+			appended++
+		}
+		if isReady {
+			ready = append(ready, t.s)
+		}
+	}
+	e.ready.push(ready...)
+	e.fanOut.Add(int64(appended))
+	e.arrival.Mark(e.cfg.Now(), int64(appended))
 }
 
-// append applies the slow-consumer policy and enqueues one delivery on a
-// session, stamping its sequence. Under PolicyBackpressure a full buffer
-// blocks the caller (the fan-in path) until the consumer acks — that stall
-// is the backpressure, propagating upstream like a full TCP window.
-func (e *Edge) append(s *session, msg *core.Message, ids []core.SubscriptionID, now int64) {
+// append applies the slow-consumer policy and enqueues one delivery of msg
+// (a publication encoded by wire.AppendMessage) on a session, stamping its
+// sequence. It reports whether the delivery was enqueued and whether the
+// session just became ready, in which case the caller hands it to the flush
+// pool. Under PolicyBackpressure a full buffer blocks the caller (the fan-in
+// path) until the consumer acks — that stall is the backpressure, propagating
+// upstream like a full TCP window. Before stalling it hands over the sessions
+// in ready, which this publication already made ready, so their consumers
+// never wait on this one's.
+func (e *Edge) append(s *session, msg []byte, ids []core.SubscriptionID, ready *[]*session) (ok, isReady bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return
+		return false, false
 	}
-	// The encoded size is known only after encoding, and the sequence must
-	// be assigned under the lock; encode first with the next sequence.
-	body := (&wire.EdgeDeliverBody{Seq: s.nextSeq, Msg: msg, SubIDs: ids}).Encode()
+	// The sequence must be assigned under the lock; encode with the next
+	// sequence, which also gives the size the policy checks.
+	body := wire.EncodeEdgeDeliver(s.nextSeq, msg, ids)
 	size := len(body)
 	if !s.detached {
 		switch e.cfg.Policy {
 		case PolicyBackpressure:
 			for !s.detached && !s.closed && s.pendingBytes+size > e.cfg.BufferBytes && s.pendingBytes > 0 {
+				if len(*ready) > 0 {
+					s.mu.Unlock()
+					e.ready.push(*ready...)
+					*ready = (*ready)[:0]
+					s.mu.Lock()
+					continue
+				}
 				e.backpressureWaits.Add(1)
 				s.cond.Wait()
 			}
 		case PolicyDropOldest:
-			for s.pendingBytes+size > e.cfg.BufferBytes && len(s.pending) > 0 {
-				old := s.pending[0]
-				s.pending = s.pending[1:]
-				s.pendingBytes -= old.size
-				e.bufferedBytes.Add(-int64(old.size))
-				e.droppedOldest.Add(1)
+			n := 0
+			for ; s.pendingBytes+size > e.cfg.BufferBytes && n < len(s.pending); n++ {
+				s.pendingBytes -= s.pending[n].size
+				e.bufferedBytes.Add(-int64(s.pending[n].size))
 			}
+			s.pending = dropFront(s.pending, n)
+			e.droppedOldest.Add(int64(n))
 		case PolicyDisconnect:
 			if s.pendingBytes+size > e.cfg.BufferBytes && s.pendingBytes > 0 {
 				s.mu.Unlock()
@@ -1043,36 +1112,40 @@ func (e *Edge) append(s *session, msg *core.Message, ids []core.SubscriptionID, 
 	// so the delivery must not be accounted against them.
 	if s.closed {
 		s.mu.Unlock()
-		return
+		return false, false
 	}
 	ent := entry{seq: s.nextSeq, size: size, body: body}
 	s.nextSeq++
+	e.bufferedBytes.Add(int64(size))
 	if s.detached {
 		// No consumer: straight to the resume ring.
 		s.ring = append(s.ring, ent)
 		s.ringBytes += size
-		e.bufferedBytes.Add(int64(size))
 		e.trimRingLocked(s)
-		s.mu.Unlock()
 	} else {
 		s.pending = append(s.pending, ent)
 		s.pendingBytes += size
-		e.bufferedBytes.Add(int64(size))
-		s.mu.Unlock()
-		e.enqueueReady(s)
+		if !s.queued && e.flushableLocked(s) {
+			s.queued, isReady = true, true
+		}
 	}
-	e.fanOut.Add(1)
-	e.arrival.Mark(now, 1)
+	s.mu.Unlock()
+	return true, isReady
 }
 
 // flushableLocked reports whether a flush worker has work for s: attached,
-// backlog present, flight window open. The window is bounded both in bytes
-// (BufferBytes) and in entries (ResumeWindow) — without the entry bound,
-// deliveries smaller than BufferBytes/ResumeWindow would never close it and
-// a consumer that stopped acking would keep being sent to forever. Caller
-// holds s.mu.
+// backlog present, flight window open. Caller holds s.mu.
 func (e *Edge) flushableLocked(s *session) bool {
-	return !s.detached && !s.closed && len(s.pending) > 0 &&
+	return len(s.pending) > 0 && e.windowOpenLocked(s)
+}
+
+// windowOpenLocked reports whether s is attached with its flight window
+// open. The window is bounded both in bytes (BufferBytes) and in entries
+// (ResumeWindow) — without the entry bound, deliveries smaller than
+// BufferBytes/ResumeWindow would never close it and a consumer that stopped
+// acking would keep being sent to forever. Caller holds s.mu.
+func (e *Edge) windowOpenLocked(s *session) bool {
+	return !s.detached && !s.closed &&
 		s.ringBytes < e.cfg.BufferBytes && len(s.ring) < e.cfg.ResumeWindow
 }
 
@@ -1089,50 +1162,77 @@ func (e *Edge) enqueueReady(s *session) {
 	e.ready.push(s)
 }
 
+// flushWorker drains the ready queue a batch of sessions at a time, reusing
+// its batch and entry buffers, and reads the clock once per batch.
 func (e *Edge) flushWorker() {
 	defer e.wg.Done()
+	var batch []*session
+	var ents []entry
 	for {
-		s, ok := e.ready.pop()
-		if !ok {
+		var ok bool
+		if batch, ok = e.ready.popAll(batch, e.cfg.FlushWorkers); !ok {
 			return
 		}
-		e.flush(s)
+		sent := 0
+		for _, s := range batch {
+			var n int
+			ents, n = e.flush(s, ents)
+			sent += n
+		}
+		clear(batch)
+		if sent > 0 {
+			e.sent.Add(int64(sent))
+			e.service.Mark(e.cfg.Now(), int64(sent))
+		}
 	}
 }
 
-// flush drains one ready session: pending entries move to the ring (sent,
-// awaiting ack) and their frames go out, until the flight window closes. On
-// a send failure the session detaches — its buffered traffic waits in the
-// resume ring.
-func (e *Edge) flush(s *session) {
+// flush drains one ready session: every pending entry the flight window
+// admits moves to the ring (sent, awaiting ack) under one lock, then the
+// frames go out; this repeats until the window admits nothing. The session
+// stays queued while its frames are out of the lock, so no other worker can
+// send a later entry ahead of them. On a send failure the session detaches:
+// entries already moved to the ring are replayed on resume with the rest of
+// its buffered traffic. ents is scratch space, returned for reuse with the
+// number of frames sent.
+func (e *Edge) flush(s *session, ents []entry) ([]entry, int) {
+	sent := 0
 	for {
 		s.mu.Lock()
-		if !e.flushableLocked(s) {
+		n := 0
+		for ; n < len(s.pending) && e.windowOpenLocked(s); n++ {
+			ent := s.pending[n]
+			s.pendingBytes -= ent.size
+			s.ring = append(s.ring, ent)
+			s.ringBytes += ent.size
+			ents = append(ents, ent)
+		}
+		if n == 0 {
 			s.queued = false
 			s.mu.Unlock()
-			return
+			return ents, sent
 		}
-		ent := s.pending[0]
-		s.pending = s.pending[1:]
-		s.pendingBytes -= ent.size
-		s.ring = append(s.ring, ent)
-		s.ringBytes += ent.size
+		s.pending = dropFront(s.pending, n)
 		addr, sink := s.addr, s.sink
 		s.mu.Unlock()
 		s.cond.Broadcast() // pending shrank: wake backpressure waiters
 
-		env := &wire.Envelope{Kind: wire.KindEdgeDeliver, From: e.cfg.ID, Body: ent.body}
-		if sink != nil {
-			sink(env)
-		} else if err := e.cfg.Transport.Send(addr, env); err != nil {
-			e.sendFailures.Add(1)
-			s.mu.Lock()
-			s.queued = false
-			s.mu.Unlock()
-			e.detach(s)
-			return
+		for _, ent := range ents {
+			env := &wire.Envelope{Kind: wire.KindEdgeDeliver, From: e.cfg.ID, Body: ent.body}
+			if sink != nil {
+				sink(env)
+			} else if err := e.cfg.Transport.Send(addr, env); err != nil {
+				e.sendFailures.Add(1)
+				s.mu.Lock()
+				s.queued = false
+				s.mu.Unlock()
+				e.detach(s)
+				clear(ents)
+				return ents[:0], sent
+			}
+			sent++
 		}
-		e.sent.Add(1)
-		e.service.Mark(e.cfg.Now(), 1)
+		clear(ents)
+		ents = ents[:0]
 	}
 }

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -64,7 +65,7 @@ type edgeRig struct {
 	edge *Edge
 }
 
-func newRig(t *testing.T, mut func(*Config)) *edgeRig {
+func newRig(t testing.TB, mut func(*Config)) *edgeRig {
 	t.Helper()
 	mesh := transport.NewMesh(0)
 	disp := &fakeDispatcher{subs: make(map[core.SubscriptionID]*core.Subscription)}
@@ -829,6 +830,85 @@ func TestEdgeSessionRetentionExpiry(t *testing.T) {
 	waitFor(t, "live session still served", func() bool { return live.count() == 2 })
 }
 
+// failingTransport fails the failAt-th EdgeDeliver send, counting from 1;
+// every other frame goes through the wrapped transport.
+type failingTransport struct {
+	transport.Transport
+	failAt int64
+	sends  atomic.Int64
+}
+
+func (f *failingTransport) Send(addr string, env *wire.Envelope) error {
+	if env.Kind == wire.KindEdgeDeliver && f.sends.Add(1) == f.failAt {
+		return errors.New("injected send failure")
+	}
+	return f.Transport.Send(addr, env)
+}
+
+// A send that fails partway through a multi-entry flush batch detaches the
+// session. The entries already moved to the ring, sent or not, replay on
+// resume exactly once and in Seq order.
+func TestEdgeSendFailureMidBatchReplaysOnResume(t *testing.T) {
+	r := newRig(t, func(c *Config) {
+		c.Transport = &failingTransport{Transport: c.Transport, failAt: 2}
+	})
+	var mu sync.Mutex
+	var seqs []uint64
+	if _, err := r.mesh.Endpoint("client").Listen("client", func(env *wire.Envelope) *wire.Envelope {
+		if b, err := wire.DecodeEdgeDeliver(env.Body); err == nil {
+			mu.Lock()
+			seqs = append(seqs, b.Seq)
+			mu.Unlock()
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got := func() []uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]uint64(nil), seqs...)
+	}
+	hello := func(tok, last uint64) *wire.SessionWelcomeBody {
+		t.Helper()
+		w, err := r.edge.hello(&wire.SessionHelloBody{Token: tok, LastSeq: last, Subscriber: 1, DeliverAddr: "client"}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	tok := hello(0, 0).Token
+	subscribe(t, r.edge, tok, 0, 100)
+
+	// Deliveries made while detached wait in the ring; the resume moves all
+	// six back to the backlog at once, so one flush batch carries them.
+	r.edge.Detach(tok)
+	const total = 6
+	for i := 1; i <= total; i++ {
+		pub(r.edge, core.MessageID(i), 50, 50)
+	}
+	hello(tok, 0)
+	waitFor(t, "detach after the failed send", func() bool { return r.edge.Sessions() == 0 })
+	waitFor(t, "the frame sent before the failure", func() bool { return len(got()) == 1 })
+	if n := r.edge.sendFailures.Value(); n != 1 {
+		t.Fatalf("send failures = %d, want 1", n)
+	}
+
+	if w := hello(tok, got()[0]); w.Lost != 0 {
+		t.Fatalf("resume lost %d deliveries, want 0", w.Lost)
+	}
+	waitFor(t, "replay of the failed batch", func() bool { return len(got()) >= total })
+	r.edge.ack(tok, total)
+	if b := r.edge.BufferedBytes(); b != 0 {
+		t.Fatalf("buffered bytes = %d after acking every delivery, want 0", b)
+	}
+	for i, seq := range got() {
+		if seq != uint64(i+1) {
+			t.Fatalf("client saw seqs %v, want 1..%d exactly once in order", got(), total)
+		}
+	}
+}
+
 func TestPolicyByName(t *testing.T) {
 	for name, want := range map[string]Policy{
 		"":             PolicyBackpressure,
@@ -878,8 +958,9 @@ func TestEdgeDefaultIndexIsBucket(t *testing.T) {
 }
 
 // Re-matching a publication reuses the edge's match buffers and session map:
-// one that reaches no session allocates nothing, and one with the wrong
-// number of attributes is dropped.
+// one that reaches no session allocates nothing, one that reaches a session
+// allocates its match lists, its encoding and the session's frame, and one
+// with the wrong number of attributes is dropped.
 func TestEdgeFanOutReusesBuffers(t *testing.T) {
 	mesh := transport.NewMesh(0)
 	defer mesh.Close()
@@ -903,6 +984,25 @@ func TestEdgeFanOutReusesBuffers(t *testing.T) {
 		if s != nil {
 			t.Fatal("fanOutMsg left a matched subscription pinned in its buffer")
 		}
+	}
+
+	// The edge is not started, so nothing flushes: the session stays queued
+	// and its backlog grows by amortized appends. Per publication that
+	// leaves the target and ID lists, the encoded message and the ready
+	// list, plus one frame for the session.
+	w, err := e.AttachLocal(&wire.SessionHelloBody{Subscriber: 1}, func(*wire.Envelope) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := core.NewSubscription(core.SubscriberID(w.Token), []core.Range{{Low: 50, High: 51}, {Low: 0, High: 100}})
+	s.ID = 1000
+	e.idx.Add(s)
+	e.fanOutMsg(msg)
+	if allocs := testing.AllocsPerRun(100, func() { e.fanOutMsg(msg) }); allocs > 5 {
+		t.Fatalf("fanOutMsg allocated %v times for a publication reaching one session, want at most 5", allocs)
+	}
+	if got := e.FanOut(); got != 102 {
+		t.Fatalf("fan-out = %d, want 102", got)
 	}
 	e.fanOutMsg(core.NewMessage([]float64{50.5}, nil)) // would index past Attrs if matched
 }

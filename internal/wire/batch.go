@@ -32,9 +32,7 @@ type ForwardEntry struct {
 // EncodedSize returns an upper bound for the entry's encoded size, used by
 // batchers to stay under MaxFrame without encoding twice.
 func (e ForwardEntry) EncodedSize() int {
-	// dim + id + publishedAt + ttl + trace + attr count + attrs + payload
-	// length prefix.
-	return 2 + 8 + 8 + 8 + traceSize(e.Msg.Trace) + 2 + 8*len(e.Msg.Attrs) + 4 + len(e.Msg.Payload)
+	return 2 + messageSize(e.Msg)
 }
 
 // ForwardBatchBody carries a batch of publications one hop to a matcher
@@ -93,10 +91,7 @@ func (b *DeliverBatchBody) AppendTo(buf []byte) []byte {
 		d := &b.Deliveries[i]
 		w.u64(uint64(d.Subscriber))
 		encodeMessage(&w, d.Msg)
-		w.u32(uint32(len(d.SubIDs)))
-		for _, id := range d.SubIDs {
-			w.u64(uint64(id))
-		}
+		encodeIDs(&w, d.SubIDs)
 	}
 	return w.buf
 }

@@ -156,6 +156,9 @@ func FuzzDecodeEdgeDeliver(f *testing.F) {
 	f.Add((&EdgeDeliverBody{Seq: 4, Msg: fuzzTracedMsg(),
 		SubIDs: []core.SubscriptionID{1}}).Encode())
 	f.Add((&EdgeDeliverBody{Msg: core.NewMessage(nil, nil)}).Encode())
+	for _, c := range encodeOnceCases() {
+		f.Add(EncodeEdgeDeliver(5, AppendMessage(nil, c.msg), c.ids))
+	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := DecodeEdgeDeliver(data)

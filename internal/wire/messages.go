@@ -86,6 +86,24 @@ type Envelope struct {
 // Message body encoders/decoders. Each XxxBody struct has Encode() []byte
 // and a matching DecodeXxx([]byte) function.
 
+// AppendMessage appends m's encoding — the publication as it sits inside
+// Forward, Deliver and EdgeDeliver bodies — to buf and returns the extended
+// slice, so a sender fanning one publication out to many receivers encodes
+// it once (see EncodeEdgeDeliver). It grows buf at most once.
+func AppendMessage(buf []byte, m *core.Message) []byte {
+	if n := messageSize(m); cap(buf)-len(buf) < n {
+		buf = append(make([]byte, 0, len(buf)+n), buf...)
+	}
+	w := writer{buf: buf}
+	encodeMessage(&w, m)
+	return w.buf
+}
+
+// messageSize is the exact length encodeMessage writes for m.
+func messageSize(m *core.Message) int {
+	return 8 + 8 + 8 + traceSize(m.Trace) + 2 + 8*len(m.Attrs) + 4 + len(m.Payload)
+}
+
 func encodeMessage(w *writer, m *core.Message) {
 	w.u64(uint64(m.ID))
 	w.i64(m.PublishedAt)
@@ -303,15 +321,22 @@ func (b *DeliverBody) AppendTo(buf []byte) []byte {
 	w := writer{buf: buf}
 	w.u64(uint64(b.Subscriber))
 	encodeMessage(&w, b.Msg)
-	w.u32(uint32(len(b.SubIDs)))
-	for _, id := range b.SubIDs {
-		w.u64(uint64(id))
-	}
+	encodeIDs(&w, b.SubIDs)
 	return w.buf
 }
 
-// Encode serializes the body.
-func (b *DeliverBody) Encode() []byte { return b.AppendTo(nil) }
+// Encode serializes the body into one exact-size allocation.
+func (b *DeliverBody) Encode() []byte {
+	return b.AppendTo(make([]byte, 0, 8+messageSize(b.Msg)+4+8*len(b.SubIDs)))
+}
+
+// encodeIDs writes a subscription ID list with its u32 count prefix.
+func encodeIDs(w *writer, ids []core.SubscriptionID) {
+	w.u32(uint32(len(ids)))
+	for _, id := range ids {
+		w.u64(uint64(id))
+	}
+}
 
 // DecodeDeliver parses a DeliverBody.
 func DecodeDeliver(data []byte) (*DeliverBody, error) {

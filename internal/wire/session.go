@@ -195,15 +195,25 @@ func (b *EdgeDeliverBody) AppendTo(buf []byte) []byte {
 	w := writer{buf: buf}
 	w.u64(b.Seq)
 	encodeMessage(&w, b.Msg)
-	w.u32(uint32(len(b.SubIDs)))
-	for _, id := range b.SubIDs {
-		w.u64(uint64(id))
-	}
+	encodeIDs(&w, b.SubIDs)
 	return w.buf
 }
 
 // Encode serializes the body.
 func (b *EdgeDeliverBody) Encode() []byte { return b.AppendTo(nil) }
+
+// EncodeEdgeDeliver builds the EdgeDeliverBody encoding of seq, a message
+// already encoded by AppendMessage, and ids in one exact-size allocation.
+// Its bytes equal (&EdgeDeliverBody{Seq: seq, Msg: m, SubIDs: ids}).Encode():
+// an edge encodes each publication once and copies it into every session's
+// frame.
+func EncodeEdgeDeliver(seq uint64, msg []byte, ids []core.SubscriptionID) []byte {
+	w := writer{buf: make([]byte, 0, 8+len(msg)+4+8*len(ids))}
+	w.u64(seq)
+	w.buf = append(w.buf, msg...)
+	encodeIDs(&w, ids)
+	return w.buf
+}
 
 // DecodeEdgeDeliver parses an EdgeDeliverBody.
 func DecodeEdgeDeliver(data []byte) (*EdgeDeliverBody, error) {

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -88,6 +90,79 @@ func TestEdgeDeliverRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip: got %+v, want %+v", out, in)
+	}
+}
+
+// encodeOnceCase is one delivery for the encode-once identity tests.
+type encodeOnceCase struct {
+	name string
+	msg  *core.Message
+	ids  []core.SubscriptionID
+}
+
+// encodeOnceCases crosses traced and untraced messages, empty and 64-byte
+// payloads, and 0, 1 and 200 subscription IDs.
+func encodeOnceCases() []encodeOnceCase {
+	var out []encodeOnceCase
+	for _, traced := range []bool{false, true} {
+		for _, payload := range [][]byte{nil, make([]byte, 64)} {
+			for _, n := range []int{0, 1, 200} {
+				m := fuzzMsg()
+				if traced {
+					m = fuzzTracedMsg()
+				}
+				for i := range payload {
+					payload[i] = byte(i)
+				}
+				m.Payload = payload
+				ids := make([]core.SubscriptionID, n)
+				for i := range ids {
+					ids[i] = core.SubscriptionID(1<<40 | i)
+				}
+				out = append(out, encodeOnceCase{
+					name: fmt.Sprintf("traced=%v/payload=%d/ids=%d", traced, len(payload), n),
+					msg:  m, ids: ids,
+				})
+			}
+		}
+	}
+	return out
+}
+
+// An edge encodes each publication once and copies it into every session's
+// frame; the frames must equal a per-session EdgeDeliverBody encode byte for
+// byte. DeliverBody.Encode sizes its buffer up front; its bytes must equal
+// the grow-from-nil encoding, in one exact-size allocation.
+func TestEncodeOnceMatchesPerFrameEncode(t *testing.T) {
+	for _, c := range encodeOnceCases() {
+		t.Run(c.name, func(t *testing.T) {
+			enc := AppendMessage(nil, c.msg)
+			if len(enc) != messageSize(c.msg) {
+				t.Fatalf("message encodes to %d bytes, messageSize says %d", len(enc), messageSize(c.msg))
+			}
+			if n := testing.AllocsPerRun(10, func() { AppendMessage(nil, c.msg) }); n != 1 {
+				t.Fatalf("AppendMessage(nil, m) allocated %v times, want 1", n)
+			}
+			got := EncodeEdgeDeliver(99, enc, c.ids)
+			want := (&EdgeDeliverBody{Seq: 99, Msg: c.msg, SubIDs: c.ids}).Encode()
+			if !bytes.Equal(got, want) {
+				t.Fatalf("EncodeEdgeDeliver differs from EdgeDeliverBody.Encode:\n got %x\nwant %x", got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("EncodeEdgeDeliver allocated %d bytes for %d", cap(got), len(got))
+			}
+			d := &DeliverBody{Subscriber: 5, Msg: c.msg, SubIDs: c.ids}
+			got, want = d.Encode(), d.AppendTo(nil)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("presized DeliverBody.Encode differs:\n got %x\nwant %x", got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("DeliverBody.Encode allocated %d bytes for %d", cap(got), len(got))
+			}
+			if _, err := DecodeDeliver(got); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
