@@ -198,17 +198,16 @@ type Edge struct {
 	// buffers use the session's own lock so a slow consumer never blocks
 	// matching.
 	mu       sync.RWMutex
-	idx      index.Index
+	idx      *index.Bucket
 	sessions map[uint64]*session
 	nextTok  uint64
 	nextSub  uint64
 	closed   bool
-	// fanOutMsg's re-match buffers, reused across publications and cleared
-	// after each so they pin no subscription or session. fanMu guards them;
-	// in steady state only the fan-in worker takes it.
+	// fanOutMsg's re-match buffers, reused across publications; perSess is
+	// cleared after each so it pins no session, and hits holds no pointer.
+	// fanMu guards them; in steady state only the fan-in worker takes it.
 	fanMu   sync.Mutex
-	matched []*core.Subscription
-	cands   []*core.Subscription
+	hits    []index.Hit
 	perSess map[uint64]int
 
 	// aggMu serializes upstream (re-)registration of the aggregated
@@ -371,7 +370,7 @@ func New(cfg Config) (*Edge, error) {
 	}
 	e := &Edge{
 		cfg:      cfg,
-		idx:      index.New(index.KindBucket, cfg.Space, 0),
+		idx:      index.NewBucket(cfg.Space, 0, index.DefaultBuckets),
 		sessions: make(map[uint64]*session),
 		perSess:  make(map[uint64]int, 8),
 		stop:     make(chan struct{}),
@@ -1008,9 +1007,9 @@ func (e *Edge) fanOutMsg(msg *core.Message) {
 		e.fanMu.Unlock()
 		return
 	}
-	e.matched, e.cands, _ = index.Match(e.idx, msg, e.matched[:0], e.cands)
-	for _, sub := range e.matched {
-		tok := uint64(sub.Subscriber)
+	e.hits, _ = e.idx.MatchHits(msg, e.hits[:0])
+	for _, h := range e.hits {
+		tok := uint64(h.Subscriber)
 		i, ok := e.perSess[tok]
 		if !ok {
 			s := e.sessions[tok]
@@ -1018,22 +1017,20 @@ func (e *Edge) fanOutMsg(msg *core.Message) {
 				continue
 			}
 			if targets == nil {
-				targets = make([]target, 0, len(e.matched))
-				ids = make([]core.SubscriptionID, 0, len(e.matched))
+				targets = make([]target, 0, len(e.hits))
+				ids = make([]core.SubscriptionID, 0, len(e.hits))
 			}
 			e.perSess[tok] = len(targets)
 			// Each session's list starts as a full-capacity window onto the
 			// shared one, so the common one-match session costs no
 			// allocation and a second match copies instead of overwriting
 			// the next session's.
-			ids = append(ids, sub.ID)
+			ids = append(ids, h.ID)
 			targets = append(targets, target{s: s, ids: ids[len(ids)-1 : len(ids) : len(ids)]})
 			continue
 		}
-		targets[i].ids = append(targets[i].ids, sub.ID)
+		targets[i].ids = append(targets[i].ids, h.ID)
 	}
-	clear(e.matched)
-	clear(e.cands)
 	clear(e.perSess)
 	e.mu.RUnlock()
 	e.fanMu.Unlock()

@@ -15,10 +15,13 @@ const DefaultBuckets = 64
 // Bucket cuts every dimension of the space into n equal cells and keeps, for
 // each dimension j and cell c, a bitset over slots: bit i of cells[j*n+c] is
 // set when slot i's predicate on j meets c. A slot holds one subscription and,
-// inline in the slab, a copy of its k predicates.
+// inline in the slab, a copy of its k predicates and its (ID, Subscriber)
+// pair.
 //
 // A match ANDs the k rows of the message's cells and verifies all k
-// predicates, branch-free, only on the slots that survive.
+// predicates, branch-free, only on the slots that survive. MatchHits answers
+// with the inline pairs, so a matcher groups its deliveries from the slab it
+// has just verified, without a first read of each matched subscription.
 // cellOf is monotone and a predicate owns every cell from its Low's to its
 // High's, so a predicate containing a value always owns that value's cell:
 // the AND is a superset of the answer and the verify makes it exact. On the
@@ -34,9 +37,10 @@ const DefaultBuckets = 64
 // predicate; Stab's scanned is the size of the value's cell row.
 //
 // The cost is k·n bits per stored subscription (32 B at k = 4, n = 64) plus
-// the rows' growth slack, beside 16·k bytes of inline predicates. Add and
-// Remove flip one bit per cell a predicate spans on each dimension: about 68
-// flips for a paper-width cuboid, 4·n for one that spans every dimension.
+// the rows' growth slack, beside 16·k bytes of inline predicates and the
+// 16-byte pair. Add and Remove flip one bit per cell a predicate spans on
+// each dimension: about 68 flips for a paper-width cuboid, 4·n for one that
+// spans every dimension.
 //
 // Every stored subscription has exactly k predicates and every matched
 // message exactly k attributes; the nodes drop frames that do not.
@@ -49,14 +53,23 @@ type Bucket struct {
 	cells [][]uint64
 
 	// The slab, indexed by slot. subs[i] is nil for a free slot, whose bits
-	// are all clear; preds[i*k:][:k] is slot i's cuboid.
+	// are all clear; preds[i*k:][:k] is slot i's cuboid and refs[i] its
+	// subscription's (ID, Subscriber).
 	subs  []*core.Subscription
 	preds []core.Range
+	refs  []Hit
 	free  []int32
 	slot  map[core.SubscriptionID]int32
 }
 
 var _ Index = (*Bucket)(nil)
+
+// Hit is one matched subscription as the bucket slab holds it: what a matcher
+// needs to group a delivery by subscriber and list the subscription in it.
+type Hit struct {
+	ID         core.SubscriptionID
+	Subscriber core.SubscriberID
+}
 
 // maxStackDims is the dimension count up to which Match keeps its rows in a
 // stack array and so does not allocate.
@@ -135,10 +148,12 @@ func (x *Bucket) Add(s *core.Subscription) {
 		x.free = x.free[:n-1]
 		x.subs[i] = s
 		copy(x.preds[int(i)*x.k:], s.Predicates[:x.k])
+		x.refs[i] = Hit{ID: s.ID, Subscriber: s.Subscriber}
 	} else {
 		i = int32(len(x.subs))
 		x.subs = append(x.subs, s)
 		x.preds = append(x.preds, s.Predicates[:x.k]...)
+		x.refs = append(x.refs, Hit{ID: s.ID, Subscriber: s.Subscriber})
 		if i&63 == 0 {
 			for c := range x.cells {
 				x.cells[c] = append(x.cells[c], 0)
@@ -190,13 +205,28 @@ func (x *Bucket) Stab(v float64, dst []*core.Subscription) ([]*core.Subscription
 }
 
 // match appends, in slot order, the subscriptions whose whole cuboid contains
-// m, and returns the number of cuboids verified. The k cell rows are ANDed
-// andBlock words at a time; every surviving slot has all k ranges tested with
-// integer ANDs and no early exit, so the only data-dependent branch is the one
-// that appends a match. A NaN attribute fails both comparisons, as in
-// core.Range.Contains.
+// m, and returns the number of cuboids verified.
 // Read-only: concurrent readers may share the index.
 func (x *Bucket) match(m *core.Message, dst []*core.Subscription) ([]*core.Subscription, int) {
+	return verify(x, m, x.subs, dst)
+}
+
+// MatchHits appends to dst, in slot order, the (ID, Subscriber) pair of every
+// stored subscription whose whole cuboid contains m, and returns the number
+// of cuboids verified: the answer of Match, read from the slab without
+// touching a matched subscription. m must carry one attribute per dimension.
+// Read-only: concurrent readers may share the index.
+func (x *Bucket) MatchHits(m *core.Message, dst []Hit) ([]Hit, int) {
+	return verify(x, m, x.refs, dst)
+}
+
+// verify appends vals[i] for every slot i whose whole cuboid contains m, in
+// slot order, and returns the number of cuboids verified; vals is a
+// slot-parallel slice of the slab. The k cell rows are ANDed andBlock words at
+// a time; every surviving slot has all k ranges tested with integer ANDs and
+// no early exit, so the only data-dependent branch is the one that appends a
+// match. A NaN attribute fails both comparisons, as in core.Range.Contains.
+func verify[T any](x *Bucket, m *core.Message, vals, dst []T) ([]T, int) {
 	k := x.k
 	attrs := m.Attrs[:k]
 	var stack [maxStackDims][]uint64
@@ -229,7 +259,7 @@ func (x *Bucket) match(m *core.Message, dst []*core.Subscription) ([]*core.Subsc
 					in &= b2i(a >= c[d].Low) & b2i(a < c[d].High)
 				}
 				if in != 0 {
-					dst = append(dst, x.subs[i])
+					dst = append(dst, vals[i])
 				}
 			}
 		}

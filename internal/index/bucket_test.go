@@ -101,13 +101,41 @@ func TestBucketMixedWidthEquivalence(t *testing.T) {
 	}
 }
 
+// checkHits fails t unless MatchHits answers m with Match's answer mapped to
+// (ID, Subscriber), in the same slot order and with the same scanned count: a
+// slot's inline pair must follow every Add that fills or refills it.
+func checkHits(t *testing.T, x *Bucket, m *core.Message) {
+	t.Helper()
+	subs, _, scanned := Match(x, m, nil, nil)
+	hits, hscanned := x.MatchHits(m, nil)
+	if hscanned != scanned || len(hits) != len(subs) {
+		t.Fatalf("MatchHits(%v): %d hits over %d verified, Match %d over %d", m.Attrs, len(hits), hscanned, len(subs), scanned)
+	}
+	for i, s := range subs {
+		if want := (Hit{ID: s.ID, Subscriber: s.Subscriber}); hits[i] != want {
+			t.Fatalf("MatchHits(%v)[%d] = %+v, Match has %+v", m.Attrs, i, hits[i], want)
+		}
+	}
+}
+
+// center returns the message at the midpoint of s's cuboid, which s matches.
+func center(s *core.Subscription) *core.Message {
+	attrs := make([]float64, len(s.Predicates))
+	for d, r := range s.Predicates {
+		attrs[d] = r.Low + (r.High-r.Low)/2
+	}
+	return core.NewMessage(attrs, nil)
+}
+
 // Match returns the scan oracle's answer as a set, having verified at least
 // that many cuboids, under churn that mixes widths on every dimension
 // (sub-cell, one cell, a quarter of the extent and just over, overhanging
 // either end, reaching far past Max, wholly outside), copies live cuboids
 // exactly or shrunk inside them so that many IDs share cells, reuses slots and
-// re-adds live IDs, probed with attributes inside, outside and NaN on every
-// dimension. Once the index is drained, nothing survives the bitsets.
+// re-adds live IDs under a new subscriber, probed with attributes inside,
+// outside and NaN on every dimension. At every probe, and after every Add at
+// the centre of the cuboid it stored, MatchHits agrees with Match pair for
+// pair. Once the index is drained, nothing survives the bitsets.
 func TestBucketMatchEqualsScanOracle(t *testing.T) {
 	const extent = 1000.0
 	oneCell := extent / DefaultBuckets
@@ -146,7 +174,7 @@ func TestBucketMatchEqualsScanOracle(t *testing.T) {
 		// mk draws a fresh cuboid, or one that shares cells with a live
 		// subscription: its exact copy, or the copy shrunk inside it by up to
 		// a tenth of its width on each side.
-		mk := func(id core.SubscriptionID) *core.Subscription {
+		mk := func(id core.SubscriptionID, sub core.SubscriberID) *core.Subscription {
 			preds := make([]core.Range, testSpace.K())
 			switch op := rng.Intn(8); {
 			case op < 2 && len(live) > 0:
@@ -163,7 +191,7 @@ func TestBucketMatchEqualsScanOracle(t *testing.T) {
 				}
 			}
 			cuboid[id] = preds
-			s := core.NewSubscription(core.SubscriberID(id), preds)
+			s := core.NewSubscription(sub, preds)
 			s.ID = id
 			return s
 		}
@@ -185,13 +213,17 @@ func TestBucketMatchEqualsScanOracle(t *testing.T) {
 		nextID := core.SubscriptionID(1)
 		matches := 0
 		for step := 0; step < 8000; step++ {
+			// Every Add names a subscriber no earlier Add used, so a slot
+			// refilled by another ID, or a live ID re-added, changes its pair.
+			sub := core.SubscriberID(step + 1)
 			switch op := rng.Intn(10); {
 			case op < 4 || len(live) == 0:
-				s := mk(nextID)
+				s := mk(nextID, sub)
 				nextID++
 				live = append(live, s.ID)
 				ref.Add(s)
 				x.Add(s)
+				checkHits(t, x, center(s))
 			case op < 6: // remove; the freed slot is reused by a later Add
 				k := rng.Intn(len(live))
 				ref.Remove(live[k])
@@ -201,10 +233,11 @@ func TestBucketMatchEqualsScanOracle(t *testing.T) {
 				delete(cuboid, live[k])
 				live[k] = live[len(live)-1]
 				live = live[:len(live)-1]
-			case op < 7: // re-add a live ID with a new cuboid
-				s := mk(live[rng.Intn(len(live))])
+			case op < 7: // re-add a live ID with a new cuboid and subscriber
+				s := mk(live[rng.Intn(len(live))], sub)
 				ref.Add(s)
 				x.Add(s)
+				checkHits(t, x, center(s))
 			default:
 				attrs := make([]float64, testSpace.K())
 				for d := range attrs {
@@ -219,6 +252,7 @@ func TestBucketMatchEqualsScanOracle(t *testing.T) {
 				if scanned < len(got) {
 					t.Fatalf("dim %d step %d: scanned %d < |answer| %d", dim, step, scanned, len(got))
 				}
+				checkHits(t, x, m)
 				matches += len(got)
 			}
 		}

@@ -15,9 +15,12 @@
 //     the message's cells, a superset of the answer that on the paper
 //     workload is about 1.3 times its size, and verifies the survivors'
 //     full cuboids, which the slab keeps inline, without touching a
-//     subscription that does not match. Its scanned count is the number of
-//     cuboids verified and its results come in slot order. Stab and
-//     Overlapping use the one dimension's bitsets.
+//     subscription that does not match. The slab also keeps each slot's
+//     (ID, Subscriber) pair, and MatchHits answers with those pairs, so a
+//     matcher or edge groups its deliveries without touching a matched
+//     subscription either. Its scanned count is the number of cuboids
+//     verified and its results come in slot order. Stab and Overlapping use
+//     the one dimension's bitsets.
 //   - Scan: brute-force over all stored subscriptions. The reference
 //     implementation used for correctness testing and as the cost model for
 //     the full-replication baseline.

@@ -305,7 +305,8 @@ func TestIndexCostSanity(t *testing.T) {
 }
 
 // The steady-state match hot path must not allocate: stab with a reused
-// candidate buffer, verify, append into a reused destination.
+// candidate buffer, verify, append into a reused destination. The bucket
+// index's MatchHits, which the matchers and edges run, must not either.
 func TestMatchZeroAlloc(t *testing.T) {
 	for _, kind := range []Kind{KindScan, KindBucket, KindIntervalTree} {
 		idx := New(kind, testSpace, 0)
@@ -321,6 +322,14 @@ func TestMatchZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: %v allocs/op on the match hot path, want 0", kind, allocs)
+		}
+		if b, ok := idx.(*Bucket); ok {
+			hits, _ := b.MatchHits(msg, nil) // warm the capacity
+			if allocs := testing.AllocsPerRun(100, func() {
+				hits, _ = b.MatchHits(msg, hits[:0])
+			}); allocs != 0 {
+				t.Errorf("MatchHits: %v allocs/op, want 0", allocs)
+			}
 		}
 	}
 }

@@ -26,15 +26,14 @@ type delEntry struct {
 type addrChain struct{ head, tail int }
 
 // matchScratch holds the per-call working state of the matching hot path.
-// Pooled so steady-state matching allocates nothing: the Match destination
-// slice, the stabbing candidate buffer, the per-subscriber grouping map, the
-// delivery list (with SubIDs backing arrays), the per-shard parallel jobs and
-// the batch assembly buffers are all reused.
+// Pooled so steady-state matching allocates nothing: the MatchHits
+// destination, the per-subscriber grouping map, the delivery list (with
+// SubIDs backing arrays), the per-shard parallel jobs and the batch assembly
+// buffers are all reused.
 type matchScratch struct {
-	dst       []*core.Subscription
-	cands     []*core.Subscription // stabbing candidate buffer (index.Match)
-	live      []*core.Message      // batch minus TTL-shed messages
-	jobs      []shardJob           // per-shard parallel work, one entry per shard
+	hits      []index.Hit
+	live      []*core.Message // batch minus TTL-shed messages
+	jobs      []shardJob      // per-shard parallel work, one entry per shard
 	wg        sync.WaitGroup
 	perSub    map[core.SubscriberID]int // subscriber → index into dels, per message
 	dels      []delEntry
@@ -54,12 +53,9 @@ var scratchPool = sync.Pool{New: func() any {
 func getScratch() *matchScratch { return scratchPool.Get().(*matchScratch) }
 
 // putScratch drops all object references (so pooling does not pin messages
-// or subscriptions past their useful life) and returns sc to the pool.
+// past their useful life) and returns sc to the pool.
 func putScratch(sc *matchScratch) {
-	clear(sc.dst)
-	sc.dst = sc.dst[:0]
-	clear(sc.cands)
-	sc.cands = sc.cands[:0]
+	sc.hits = sc.hits[:0]
 	clear(sc.live)
 	sc.live = sc.live[:0]
 	for i := range sc.jobs {
@@ -102,14 +98,17 @@ func (sc *matchScratch) addDelivery(addr string, sub core.SubscriberID, msg *cor
 	return i
 }
 
-// deliverEncodedSize returns the encoded size of one DeliverBody inside a
-// DeliverBatch frame (subscriber + message + trace + id list).
-func deliverEncodedSize(d *wire.DeliverBody) int {
-	sz := 8 + 8 + 8 + 8 + 2 + 8*len(d.Msg.Attrs) + 4 + len(d.Msg.Payload) + 4 + 8*len(d.SubIDs) + 1
-	if d.Msg.Trace != nil {
-		sz += wire.TraceOverhead - 1
+// group files msg's hits in sh, sc.hits, into one delivery per subscriber,
+// looking a subscriber's address up when its delivery starts. Grouping is
+// per message: the caller clears perSub before the next one.
+func (sc *matchScratch) group(sh *indexShard, msg *core.Message) {
+	for _, h := range sc.hits {
+		i, ok := sc.perSub[h.Subscriber]
+		if !ok {
+			i = sc.addDelivery(sh.addrs[h.ID], h.Subscriber, msg)
+		}
+		sc.dels[i].body.SubIDs = append(sc.dels[i].body.SubIDs, h.ID)
 	}
-	return sz
 }
 
 // enqueueBatch fans a decoded ForwardBatch out to the dimension stages: one
@@ -201,15 +200,9 @@ func (m *Matcher) matchBatch(ds *dimSet, dim int, it forwardItem) {
 		sh.mu.RLock()
 		for _, msg := range sc.live {
 			var n int
-			sc.dst, sc.cands, n = index.Match(sh.idx, msg, sc.dst[:0], sc.cands)
+			sc.hits, n = sh.idx.MatchHits(msg, sc.hits[:0])
 			scanned += n
-			for _, s := range sc.dst {
-				i, ok := sc.perSub[s.Subscriber]
-				if !ok {
-					i = sc.addDelivery(sh.addrs[s.ID], s.Subscriber, msg)
-				}
-				sc.dels[i].body.SubIDs = append(sc.dels[i].body.SubIDs, s.ID)
-			}
+			sc.group(sh, msg)
 			clear(sc.perSub) // per-subscriber grouping is per message
 		}
 		sh.mu.RUnlock()
@@ -247,11 +240,11 @@ func (m *Matcher) matchBatch(ds *dimSet, dim int, it forwardItem) {
 				for j.cur < len(j.hits) && int(j.hits[j.cur].msg) == mi {
 					h := &j.hits[j.cur]
 					j.cur++
-					di, ok := sc.perSub[h.sub.Subscriber]
+					di, ok := sc.perSub[h.hit.Subscriber]
 					if !ok {
-						di = sc.addDelivery(h.addr, h.sub.Subscriber, sc.live[mi])
+						di = sc.addDelivery(h.addr, h.hit.Subscriber, sc.live[mi])
 					}
-					sc.dels[di].body.SubIDs = append(sc.dels[di].body.SubIDs, h.sub.ID)
+					sc.dels[di].body.SubIDs = append(sc.dels[di].body.SubIDs, h.hit.ID)
 				}
 			}
 			clear(sc.perSub) // per-subscriber grouping is per message
@@ -302,7 +295,7 @@ func (m *Matcher) matchBatch(ds *dimSet, dim int, it forwardItem) {
 			if d.body.Msg.Trace != nil {
 				d.body.Msg.Trace.Stamp(core.HopDeliver, matchDone)
 			}
-			esz := deliverEncodedSize(&d.body)
+			esz := d.body.EncodedSize()
 			if size+esz > maxDeliverBatchBytes && len(sc.batch.Deliveries) > 0 {
 				m.send(addr, wire.KindDeliverBatch, &sc.batch)
 				sc.batch.Deliveries = sc.batch.Deliveries[:0]

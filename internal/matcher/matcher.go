@@ -245,7 +245,7 @@ func New(cfg Config) (*Matcher, error) {
 		ds := &dimSet{shards: make([]*indexShard, cfg.MatchShards)}
 		for j := range ds.shards {
 			ds.shards[j] = &indexShard{
-				idx:   index.New(index.KindBucket, cfg.Space, i),
+				idx:   index.NewBucket(cfg.Space, i, index.DefaultBuckets),
 				addrs: make(map[core.SubscriptionID]string),
 			}
 		}
@@ -522,15 +522,9 @@ func (m *Matcher) matchOne(ds *dimSet, dim int, it forwardItem) {
 	for _, sh := range ds.shards {
 		sh.mu.RLock()
 		var n int
-		sc.dst, sc.cands, n = index.Match(sh.idx, msg, sc.dst[:0], sc.cands)
+		sc.hits, n = sh.idx.MatchHits(msg, sc.hits[:0])
 		scanned += n
-		for _, s := range sc.dst {
-			i, ok := sc.perSub[s.Subscriber]
-			if !ok {
-				i = sc.addDelivery(sh.addrs[s.ID], s.Subscriber, msg)
-			}
-			sc.dels[i].body.SubIDs = append(sc.dels[i].body.SubIDs, s.ID)
-		}
+		sc.group(sh, msg)
 		sh.mu.RUnlock()
 	}
 	m.Scanned.Add(int64(scanned))
@@ -713,13 +707,16 @@ func (m *Matcher) seedStage(dim int) {
 		attrs[i] = (p.Low + p.High) / 2
 	}
 	msg := core.NewMessage(attrs, nil)
+	sc := getScratch()
 	start := time.Now()
 	for _, sh := range ds.shards {
 		sh.mu.RLock()
-		_, _, _ = index.Match(sh.idx, msg, nil, nil)
+		sc.hits, _ = sh.idx.MatchHits(msg, sc.hits[:0])
+		sc.group(sh, msg)
 		sh.mu.RUnlock()
 	}
 	ns := float64(time.Since(start))
+	putScratch(sc)
 	if ns < 1 {
 		ns = 1
 	}

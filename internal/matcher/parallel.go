@@ -19,7 +19,7 @@ import (
 // path.
 type indexShard struct {
 	mu    sync.RWMutex
-	idx   index.Index
+	idx   *index.Bucket
 	addrs map[core.SubscriptionID]string
 }
 
@@ -43,20 +43,19 @@ func shardOf(id core.SubscriptionID, shards int) int {
 // in message order within each shard, so the merge pass is a cursor sweep.
 type shardHit struct {
 	msg  int32 // index into the batch's live-message slice
-	sub  *core.Subscription
+	hit  index.Hit
 	addr string
 }
 
 // shardJob is one shard's stab+verify work over a batch of messages. Jobs
 // live in the pooled match scratch and are reused, so steady-state parallel
-// matching allocates nothing: the hit list, the Match destination and the
-// stabbing candidate buffer all retain their capacity.
+// matching allocates nothing: the hit list and the MatchHits destination
+// retain their capacity.
 type shardJob struct {
 	shard   *indexShard
 	msgs    []*core.Message
 	hits    []shardHit
-	dst     []*core.Subscription
-	cands   []*core.Subscription
+	found   []index.Hit
 	scanned int
 	cur     int // merge cursor into hits (owned by the merging stage)
 	wg      *sync.WaitGroup
@@ -71,18 +70,18 @@ func (j *shardJob) run() {
 	sh.mu.RLock()
 	for mi, msg := range j.msgs {
 		var n int
-		j.dst, j.cands, n = index.Match(sh.idx, msg, j.dst[:0], j.cands[:0])
+		j.found, n = sh.idx.MatchHits(msg, j.found[:0])
 		j.scanned += n
-		for _, s := range j.dst {
-			j.hits = append(j.hits, shardHit{msg: int32(mi), sub: s, addr: sh.addrs[s.ID]})
+		for _, h := range j.found {
+			j.hits = append(j.hits, shardHit{msg: int32(mi), hit: h, addr: sh.addrs[h.ID]})
 		}
 	}
 	sh.mu.RUnlock()
 	j.wg.Done()
 }
 
-// reset drops the job's object references so pooling does not pin messages,
-// subscriptions or addresses past their useful life.
+// reset drops the job's object references so pooling does not pin messages
+// or addresses past their useful life.
 func (j *shardJob) reset() {
 	j.shard = nil
 	j.msgs = nil
@@ -90,10 +89,7 @@ func (j *shardJob) reset() {
 	j.cur = 0
 	clear(j.hits)
 	j.hits = j.hits[:0]
-	clear(j.dst)
-	j.dst = j.dst[:0]
-	clear(j.cands)
-	j.cands = j.cands[:0]
+	j.found = j.found[:0]
 }
 
 // matchPool is the matcher's shared worker pool for parallel shard matching:

@@ -91,6 +91,26 @@ func TestDeliverBatchMatchesSingleEncoding(t *testing.T) {
 	}
 }
 
+// TestDeliverEncodedSizeExact pins EncodedSize, which presizes Encode and
+// splits the matcher's DeliverBatch frames, to the bytes actually written,
+// traced and untraced, across payload and ID-list lengths.
+func TestDeliverEncodedSizeExact(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		for _, payload := range []int{0, 64} {
+			for _, n := range []int{0, 1, 200} {
+				m := core.NewMessage([]float64{1.5, 2.5, 3.5, 4.5}, make([]byte, payload))
+				if traced {
+					m.Trace = &core.TraceCtx{ID: 3, Dispatcher: 1, Matcher: 2, Dim: 1}
+				}
+				d := DeliverBody{Subscriber: 7, Msg: m, SubIDs: make([]core.SubscriptionID, n)}
+				if got := len(d.Encode()); got != d.EncodedSize() {
+					t.Errorf("traced=%v payload=%d ids=%d: EncodedSize %d, Encode wrote %d", traced, payload, n, d.EncodedSize(), got)
+				}
+			}
+		}
+	}
+}
+
 func TestForwardAckBatchRoundtrip(t *testing.T) {
 	b := &ForwardAckBatchBody{IDs: []core.MessageID{1, 2, 3, 1 << 50}}
 	got, err := DecodeForwardAckBatch(b.Encode())

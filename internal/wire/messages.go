@@ -325,9 +325,15 @@ func (b *DeliverBody) AppendTo(buf []byte) []byte {
 	return w.buf
 }
 
+// EncodedSize is the exact length AppendTo writes for b, alone or as one
+// delivery of a DeliverBatch.
+func (b *DeliverBody) EncodedSize() int {
+	return 8 + messageSize(b.Msg) + 4 + 8*len(b.SubIDs)
+}
+
 // Encode serializes the body into one exact-size allocation.
 func (b *DeliverBody) Encode() []byte {
-	return b.AppendTo(make([]byte, 0, 8+messageSize(b.Msg)+4+8*len(b.SubIDs)))
+	return b.AppendTo(make([]byte, 0, b.EncodedSize()))
 }
 
 // encodeIDs writes a subscription ID list with its u32 count prefix.
