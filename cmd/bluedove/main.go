@@ -64,7 +64,6 @@ func main() {
 		traceRate = flag.Float64("trace-sample", 0, "fraction of publications traced hop-by-hop (0 disables, 1 traces all)")
 		dataDir   = flag.String("data-dir", "", "journal this node's state under this directory and recover it on restart; empty keeps all state in memory")
 		fsyncPol  = flag.String("fsync", "always", "journal durability policy with -data-dir: always|interval|never")
-		shards    = flag.Int("match-shards", 1, "matcher: per-dimension index shards matched in parallel (e.g. NumCPU)")
 		elasticOn = flag.Bool("elastic", false, "dispatcher: run the elasticity controller in advisory mode over matcher load reports (decisions logged and exported as elastic.* telemetry)")
 		elasticIv = flag.Duration("elastic-interval", 2*time.Second, "dispatcher: elasticity controller scrape interval with -elastic")
 		dispAddr  = flag.String("dispatcher", "", "edge: dispatcher address the aggregated subscriber registers with (required for -role edge)")
@@ -99,8 +98,7 @@ func main() {
 
 	switch *role {
 	case "matcher":
-		runMatcher(tr, space, core.NodeID(*id), *addr, seedList, *join, tel, *dataDir, fsync,
-			*shards)
+		runMatcher(tr, space, core.NodeID(*id), *addr, seedList, *join, tel, *dataDir, fsync)
 	case "dispatcher":
 		runDispatcher(tr, space, core.NodeID(*id), *addr, seedList, *bootstrap, *policy, tel, *dataDir, fsync,
 			elasticOpts{on: *elasticOn, interval: *elasticIv})
@@ -190,11 +188,10 @@ func nodeTelemetry(tr *transport.TCP, id core.NodeID, role, adminAddr string, sa
 
 func runMatcher(tr transport.Transport, space *core.Space, id core.NodeID,
 	addr string, seeds []string, join bool, tel *telemetry.Telemetry,
-	dataDir string, fsync store.Fsync, shards int) {
+	dataDir string, fsync store.Fsync) {
 	m, err := matcher.New(matcher.Config{
 		ID: id, Addr: addr, Space: space, Transport: tr, Seeds: seeds,
 		Telemetry: tel, DataDir: dataDir, Fsync: fsync,
-		MatchShards: shards,
 	})
 	if err != nil {
 		log.Fatal(err)

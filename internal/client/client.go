@@ -166,18 +166,10 @@ func New(cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// handle receives pushed deliveries in direct mode (single frames and the
-// coalesced DeliverBatch frames batching matchers emit).
+// handle receives pushed deliveries in direct mode: the DeliverBatch frames
+// matchers emit.
 func (c *Client) handle(env *wire.Envelope) *wire.Envelope {
 	switch env.Kind {
-	case wire.KindDeliver:
-		if b, err := wire.DecodeDeliver(env.Body); err == nil {
-			if c.duplicate(b.Msg) {
-				return nil
-			}
-			c.observeDelivery(b.Msg)
-			c.cfg.OnDeliver(b.Msg, b.SubIDs)
-		}
 	case wire.KindDeliverBatch:
 		if b, err := wire.DecodeDeliverBatch(env.Body); err == nil {
 			for i := range b.Deliveries {

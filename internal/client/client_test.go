@@ -184,12 +184,13 @@ func TestDirectDelivery(t *testing.T) {
 	// A matcher pushes a delivery directly.
 	m := core.NewMessage([]float64{1}, []byte("hello"))
 	m.ID = 3
-	body := (&wire.DeliverBody{Subscriber: 7, Msg: m, SubIDs: []core.SubscriptionID{42}}).Encode()
+	body := (&wire.DeliverBatchBody{Deliveries: []wire.DeliverBody{
+		{Subscriber: 7, Msg: m, SubIDs: []core.SubscriptionID{42}}}}).Encode()
 	matcherEp := mesh.Endpoint("matcher")
 	if _, err := matcherEp.Listen("matcher", func(*wire.Envelope) *wire.Envelope { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := matcherEp.Send("c", &wire.Envelope{Kind: wire.KindDeliver, From: 1, Body: body}); err != nil {
+	if err := matcherEp.Send("c", &wire.Envelope{Kind: wire.KindDeliverBatch, From: 1, Body: body}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)

@@ -42,9 +42,10 @@ func dedupClient(t *testing.T, mesh *transport.Mesh, window int) (*Client, func(
 func deliver(t *testing.T, mesh *transport.Mesh, id core.MessageID) {
 	t.Helper()
 	msg := &core.Message{ID: id, Attrs: []float64{1}, Payload: []byte("x")}
-	body := (&wire.DeliverBody{Msg: msg, SubIDs: []core.SubscriptionID{1}}).Encode()
+	body := (&wire.DeliverBatchBody{Deliveries: []wire.DeliverBody{
+		{Msg: msg, SubIDs: []core.SubscriptionID{1}}}}).Encode()
 	if err := mesh.Endpoint("m1").Send("c1-deliver",
-		&wire.Envelope{Kind: wire.KindDeliver, Body: body}); err != nil {
+		&wire.Envelope{Kind: wire.KindDeliverBatch, Body: body}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -178,9 +179,9 @@ func TestDedupAbsorbsResumeReplay(t *testing.T) {
 	// three before the connection "dies".
 	push := func(id core.MessageID) {
 		msg := &core.Message{ID: id, Attrs: []float64{50}, Payload: []byte("x")}
-		body := (&wire.DeliverBody{Msg: msg}).Encode()
+		body := (&wire.DeliverBatchBody{Deliveries: []wire.DeliverBody{{Msg: msg}}}).Encode()
 		if err := mesh.Endpoint("m1").Send("edge",
-			&wire.Envelope{Kind: wire.KindDeliver, Body: body}); err != nil {
+			&wire.Envelope{Kind: wire.KindDeliverBatch, Body: body}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -43,10 +43,6 @@ type Options struct {
 	Strategy placement.Strategy
 	// Policy is the forwarding policy (default forward.Adaptive{}).
 	Policy forward.Policy
-	// MatchShards partitions each matcher dimension set into this many
-	// hash shards matched in parallel (default 1; see
-	// matcher.Config.MatchShards).
-	MatchShards int
 	// TCP selects real TCP on loopback instead of the in-process mesh.
 	TCP bool
 	// GossipInterval, FailAfter, ReportInterval, RecoveryDelay, PruneGrace
@@ -219,7 +215,7 @@ func (o *Options) Validate() error {
 	// with meaningful negative values (RetryBudget, BreakerThreshold:
 	// negative disables the feature) are deliberately left alone.
 	for _, n := range []*int{
-		&o.MatchShards, &o.MatcherQueueDepth,
+		&o.MatcherQueueDepth,
 		&o.ForwardBatchCount, &o.AdmissionLimit, &o.EdgeBufferBytes,
 		&o.ResumeWindow, &o.Edges,
 	} {
@@ -531,7 +527,6 @@ func (c *Cluster) startMatcher(id core.NodeID) (*matcher.Matcher, error) {
 		Space:          c.opts.Space,
 		Transport:      tr,
 		Seeds:          c.seeds,
-		MatchShards:    c.opts.MatchShards,
 		QueueDepth:     c.opts.MatcherQueueDepth,
 		ReportInterval: c.opts.ReportInterval,
 		GossipInterval: c.opts.GossipInterval,

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"bluedove/internal/core"
-	"bluedove/internal/delivery"
 	"bluedove/internal/forward"
 	"bluedove/internal/gossip"
 	"bluedove/internal/metrics"
@@ -240,7 +239,7 @@ type Dispatcher struct {
 	nextMsg  uint64
 	rng      *rand.Rand
 
-	queues *delivery.QueueStore
+	queues *QueueStore
 
 	// inflight retains unacked forwards for retransmission (persistence).
 	inflight map[core.MessageID]*inflightMsg
@@ -334,7 +333,7 @@ func New(cfg Config) (*Dispatcher, error) {
 		inflight:   make(map[core.MessageID]*inflightMsg),
 		routes:     make(map[core.MessageID]*routeState),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		queues:     delivery.NewQueueStore(cfg.QueueCap),
+		queues:     NewQueueStore(cfg.QueueCap),
 		stop:       make(chan struct{}),
 		ready:      make(chan struct{}),
 		fwdLatency: metrics.NewHistogram(),
@@ -356,7 +355,7 @@ func (d *Dispatcher) Addr() string { return d.addr }
 func (d *Dispatcher) Gossiper() *gossip.Gossiper { return d.gsp }
 
 // Queues exposes the indirect-delivery queue store.
-func (d *Dispatcher) Queues() *delivery.QueueStore { return d.queues }
+func (d *Dispatcher) Queues() *QueueStore { return d.queues }
 
 // Start binds the listener, joins the gossip overlay and starts the table
 // maintenance loops.
@@ -539,11 +538,6 @@ func (d *Dispatcher) handle(env *wire.Envelope) *wire.Envelope {
 			return errEnv(d.cfg.ID, err)
 		}
 		return d.handlePublish(b.Msg, true)
-	case wire.KindBusy:
-		if b, err := wire.DecodeBusy(env.Body); err == nil {
-			d.handleBusy(env.From, b.ID, b.Dim, b.QueueLen)
-		}
-		return nil
 	case wire.KindLoadReport:
 		if b, err := wire.DecodeLoadReport(env.Body); err == nil {
 			d.mu.Lock()
@@ -555,11 +549,6 @@ func (d *Dispatcher) handle(env *wire.Envelope) *wire.Envelope {
 				d.health[env.From] = h
 			}
 			d.mu.Unlock()
-		}
-		return nil
-	case wire.KindDeliver:
-		if b, err := wire.DecodeDeliver(env.Body); err == nil {
-			d.queues.Push(b.Subscriber, *b)
 		}
 		return nil
 	case wire.KindDeliverBatch:
@@ -577,6 +566,7 @@ func (d *Dispatcher) handle(env *wire.Envelope) *wire.Envelope {
 		ds := d.queues.Poll(b.Subscriber, int(b.Max))
 		return &wire.Envelope{Kind: wire.KindPollResponse, From: d.cfg.ID,
 			Body: (&wire.PollResponseBody{Deliveries: ds}).Encode()}
+	// Matchers ack with ForwardAckBatch; only the benchmark's stub matcher sends this.
 	case wire.KindForwardAck:
 		if b, err := wire.DecodeForwardAck(env.Body); err == nil {
 			d.breaker.Success(env.From)

@@ -302,8 +302,9 @@ func TestDeliverQueuedAndPolled(t *testing.T) {
 	h := newHarness(t)
 	msg := core.NewMessage([]float64{1, 2}, []byte("p"))
 	msg.ID = 9
-	d := &wire.DeliverBody{Subscriber: 5, Msg: msg, SubIDs: []core.SubscriptionID{3}}
-	h.send(t, wire.KindDeliver, 1, d.Encode())
+	d := &wire.DeliverBatchBody{Deliveries: []wire.DeliverBody{
+		{Subscriber: 5, Msg: msg, SubIDs: []core.SubscriptionID{3}}}}
+	h.send(t, wire.KindDeliverBatch, 1, d.Encode())
 	waitFor(t, func() bool { return h.d.Queues().Len(5) == 1 })
 
 	resp := h.request(t, wire.KindPoll, (&wire.PollBody{Subscriber: 5, Max: 10}).Encode())

@@ -1,8 +1,8 @@
 // Overload control: busy-NACK handling and candidate re-routing.
 //
 // A matcher whose dimension stage is full replies to a forward with a
-// compact busy NACK (wire.KindBusy, or per-item Busy entries in a batch
-// ack) instead of dropping it silently. The dispatcher reacts by retrying
+// compact busy NACK (one Busy entry per rejected publication in a
+// ForwardAckBatch) instead of dropping it silently. The dispatcher reacts by retrying
 // the publication at the next-best candidate from the policy ranking — one
 // extra hop, no timer wait — governed by a per-message retry budget
 // (Config.RetryBudget) and an exponential backoff with full jitter for

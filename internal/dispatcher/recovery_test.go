@@ -121,7 +121,7 @@ func TestBadBodiesIgnored(t *testing.T) {
 	h.d.SetTable(table(t, 1))
 	h.send(t, wire.KindPublish, 0, []byte{1})
 	h.send(t, wire.KindLoadReport, 1, []byte{2, 3})
-	h.send(t, wire.KindDeliver, 1, []byte{4})
+	h.send(t, wire.KindDeliverBatch, 1, []byte{4})
 	h.send(t, wire.KindUnsubscribe, 0, []byte{5})
 	resp := h.request(t, wire.KindPoll, []byte{6})
 	if resp.Kind != wire.KindError {

@@ -527,10 +527,6 @@ func (e *Edge) handle(env *wire.Envelope) *wire.Envelope {
 	// goroutine: under PolicyBackpressure fan-in can stall on a slow
 	// session, and the acks that relieve the stall arrive on this very
 	// goroutine — blocking here would deadlock the whole edge.
-	case wire.KindDeliver:
-		if b, err := wire.DecodeDeliver(env.Body); err == nil {
-			e.stage(b.Msg)
-		}
 	case wire.KindDeliverBatch:
 		if b, err := wire.DecodeDeliverBatch(env.Body); err == nil {
 			for i := range b.Deliveries {
@@ -585,9 +581,9 @@ func (e *Edge) AttachLocal(hello *wire.SessionHelloBody, sink func(*wire.Envelop
 	return e.hello(hello, sink)
 }
 
-// Deliver injects one upstream publication exactly as a KindDeliver frame
-// would (bench/chaos hook: drives fan-in without a transport endpoint, so
-// backpressure stalls the caller directly).
+// Deliver injects one upstream publication as one delivery of a
+// KindDeliverBatch frame would (bench/chaos hook: drives fan-in without a
+// transport endpoint, so backpressure stalls the caller directly).
 func (e *Edge) Deliver(msg *core.Message) { e.fanOutMsg(msg) }
 
 // Subscribe registers one session subscription (the KindSessionSub path).

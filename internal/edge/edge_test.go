@@ -678,8 +678,8 @@ func TestEdgeBackpressureAcksNotStarvedOnTransport(t *testing.T) {
 	for i := 1; i <= total; i++ {
 		m := core.NewMessage([]float64{50, 50}, []byte("p"))
 		m.ID = core.MessageID(i)
-		if err := up.Send("edge", &wire.Envelope{Kind: wire.KindDeliver,
-			Body: (&wire.DeliverBody{Msg: m}).Encode()}); err != nil {
+		if err := up.Send("edge", &wire.Envelope{Kind: wire.KindDeliverBatch,
+			Body: (&wire.DeliverBatchBody{Deliveries: []wire.DeliverBody{{Msg: m}}}).Encode()}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -464,13 +464,6 @@ func (b *Border) handle(env *wire.Envelope) *wire.Envelope {
 			return g.HandleGossip(env)
 		}
 		return nil
-	case wire.KindDeliver:
-		if d, err := wire.DecodeDeliver(env.Body); err == nil {
-			b.fanOut(d.Msg)
-		} else {
-			b.Malformed.Add(1)
-		}
-		return nil
 	case wire.KindDeliverBatch:
 		if db, err := wire.DecodeDeliverBatch(env.Body); err == nil {
 			for i := range db.Deliveries {

@@ -28,13 +28,10 @@ type addrChain struct{ head, tail int }
 // matchScratch holds the per-call working state of the matching hot path.
 // Pooled so steady-state matching allocates nothing: the MatchHits
 // destination, the per-subscriber grouping map, the delivery list (with
-// SubIDs backing arrays), the per-shard parallel jobs and the batch assembly
-// buffers are all reused.
+// SubIDs backing arrays) and the batch assembly buffers are all reused.
 type matchScratch struct {
 	hits      []index.Hit
-	live      []*core.Message // batch minus TTL-shed messages
-	jobs      []shardJob      // per-shard parallel work, one entry per shard
-	wg        sync.WaitGroup
+	live      []*core.Message           // batch minus TTL-shed messages
 	perSub    map[core.SubscriberID]int // subscriber → index into dels, per message
 	dels      []delEntry
 	chains    map[string]addrChain
@@ -58,9 +55,6 @@ func putScratch(sc *matchScratch) {
 	sc.hits = sc.hits[:0]
 	clear(sc.live)
 	sc.live = sc.live[:0]
-	for i := range sc.jobs {
-		sc.jobs[i].reset()
-	}
 	clear(sc.perSub)
 	for i := range sc.dels {
 		d := &sc.dels[i]
@@ -98,14 +92,14 @@ func (sc *matchScratch) addDelivery(addr string, sub core.SubscriberID, msg *cor
 	return i
 }
 
-// group files msg's hits in sh, sc.hits, into one delivery per subscriber,
+// group files msg's hits in ds, sc.hits, into one delivery per subscriber,
 // looking a subscriber's address up when its delivery starts. Grouping is
 // per message: the caller clears perSub before the next one.
-func (sc *matchScratch) group(sh *indexShard, msg *core.Message) {
+func (sc *matchScratch) group(ds *dimSet, msg *core.Message) {
 	for _, h := range sc.hits {
 		i, ok := sc.perSub[h.Subscriber]
 		if !ok {
-			i = sc.addDelivery(sh.addrs[h.ID], h.Subscriber, msg)
+			i = sc.addDelivery(ds.addrs[h.ID], h.Subscriber, msg)
 		}
 		sc.dels[i].body.SubIDs = append(sc.dels[i].body.SubIDs, h.ID)
 	}
@@ -152,22 +146,32 @@ func (m *Matcher) enqueueBatch(b *wire.ForwardBatchBody, from core.NodeID) {
 			}
 		}
 	}
-	if len(busy) > 0 && from != 0 {
-		if addr, ok := m.gsp.AddrOf(from); ok {
-			m.send(addr, wire.KindForwardAckBatch, &wire.ForwardAckBatchBody{Busy: busy})
-		}
+	if len(busy) > 0 {
+		m.sendBusy(from, busy)
+	}
+}
+
+// sendBusy tells the forwarding dispatcher which publications its full
+// stages rejected, so it can re-route them at once instead of waiting for a
+// retransmit.
+func (m *Matcher) sendBusy(from core.NodeID, busy []wire.BusyEntry) {
+	if from == 0 {
+		return
+	}
+	if addr, ok := m.gsp.AddrOf(from); ok {
+		m.send(addr, wire.KindForwardAckBatch, &wire.ForwardAckBatchBody{Busy: busy})
 	}
 }
 
 // matchBatch matches a batch of forwarded messages against the dimension's
 // set under one index lock acquisition, coalesces the resulting deliveries
 // per destination address into DeliverBatch frames, and acknowledges the
-// whole batch with one ForwardAckBatch.
-func (m *Matcher) matchBatch(ds *dimSet, dim int, it forwardItem) {
+// whole batch to the forwarding dispatcher, from, with one ForwardAckBatch.
+func (m *Matcher) matchBatch(ds *dimSet, msgs []*core.Message, from core.NodeID) {
 	sc := getScratch()
 	var tnow int64
 	traced := false
-	for _, msg := range it.msgs {
+	for _, msg := range msgs {
 		if msg.Trace != nil {
 			if !traced {
 				traced, tnow = true, m.cfg.Now()
@@ -179,14 +183,14 @@ func (m *Matcher) matchBatch(ds *dimSet, dim int, it forwardItem) {
 	// queued is acked (processing is complete — deliberately shed) but
 	// never matched or delivered.
 	var shedNow int64
-	for _, msg := range it.msgs {
+	for _, msg := range msgs {
 		if msg.TTL > 0 {
 			shedNow = m.cfg.Now()
 			break
 		}
 	}
 	sc.live = sc.live[:0]
-	for _, msg := range it.msgs {
+	for _, msg := range msgs {
 		if msg.TTL > 0 && shedNow > msg.PublishedAt+msg.TTL {
 			m.Shed.Add(1)
 			continue
@@ -194,71 +198,20 @@ func (m *Matcher) matchBatch(ds *dimSet, dim int, it forwardItem) {
 		sc.live = append(sc.live, msg)
 	}
 	scanned := 0
-	if m.pool == nil || len(ds.shards) == 1 {
-		// Single-shard inline path: one read-lock acquisition for the batch.
-		sh := ds.shards[0]
-		sh.mu.RLock()
-		for _, msg := range sc.live {
-			var n int
-			sc.hits, n = sh.idx.MatchHits(msg, sc.hits[:0])
-			scanned += n
-			sc.group(sh, msg)
-			clear(sc.perSub) // per-subscriber grouping is per message
-		}
-		sh.mu.RUnlock()
-	} else {
-		// Parallel path: fan the batch's stab+verify work across the shards
-		// on the matcher's worker pool (the stage goroutine runs one shard's
-		// job inline so it always contributes a core), then merge the
-		// msg-ordered per-shard hit lists with a cursor sweep so delivery
-		// coalescing sees the exact same (message, sub) stream as the inline
-		// path. Jobs live in the pooled scratch: steady state allocates
-		// nothing.
-		for len(sc.jobs) < len(ds.shards) {
-			sc.jobs = append(sc.jobs, shardJob{})
-		}
-		jobs := sc.jobs[:len(ds.shards)]
-		sc.wg.Add(len(jobs))
-		for i := range jobs {
-			j := &jobs[i]
-			j.shard = ds.shards[i]
-			j.msgs = sc.live
-			j.wg = &sc.wg
-		}
-		for i := 1; i < len(jobs); i++ {
-			m.pool.submit(&jobs[i])
-		}
-		jobs[0].run()
-		sc.wg.Wait()
-		for i := range jobs {
-			scanned += jobs[i].scanned
-			jobs[i].cur = 0
-		}
-		for mi := range sc.live {
-			for i := range jobs {
-				j := &jobs[i]
-				for j.cur < len(j.hits) && int(j.hits[j.cur].msg) == mi {
-					h := &j.hits[j.cur]
-					j.cur++
-					di, ok := sc.perSub[h.hit.Subscriber]
-					if !ok {
-						di = sc.addDelivery(h.addr, h.hit.Subscriber, sc.live[mi])
-					}
-					sc.dels[di].body.SubIDs = append(sc.dels[di].body.SubIDs, h.hit.ID)
-				}
-			}
-			clear(sc.perSub) // per-subscriber grouping is per message
-		}
-		for i := range jobs {
-			jobs[i].reset()
-		}
+	ds.mu.RLock()
+	for _, msg := range sc.live {
+		var n int
+		sc.hits, n = ds.idx.MatchHits(msg, sc.hits[:0])
+		scanned += n
+		sc.group(ds, msg)
+		clear(sc.perSub) // per-subscriber grouping is per message
 	}
+	ds.mu.RUnlock()
 	m.Scanned.Add(int64(scanned))
-	m.Processed.Add(int64(len(it.msgs)))
-	var matchDone int64
+	m.Processed.Add(int64(len(msgs)))
 	if traced {
-		matchDone = m.cfg.Now()
-		for _, msg := range it.msgs {
+		matchDone := m.cfg.Now()
+		for _, msg := range msgs {
 			if msg.Trace != nil {
 				msg.Trace.Stamp(core.HopMatch, matchDone)
 				m.matchLatency.Observe(matchDone - msg.Trace.Hops[core.HopDequeue])
@@ -282,7 +235,7 @@ func (m *Matcher) matchBatch(ds *dimSet, dim int, it forwardItem) {
 	// Flush one DeliverBatch frame per address (split if oversized).
 	for addr, c := range sc.chains {
 		sc.batch.Deliveries = sc.batch.Deliveries[:0]
-		size := 4
+		size, frameTraced := 4, false
 		for i := c.head; i != -1; i = sc.dels[i].next {
 			d := &sc.dels[i]
 			n := int64(len(d.body.SubIDs))
@@ -291,38 +244,35 @@ func (m *Matcher) matchBatch(ds *dimSet, dim int, it forwardItem) {
 				continue // nowhere to deliver (registered without an address)
 			}
 			m.Delivered.Add(n)
-			// Stamp before the body is encoded so the frame carries the hop.
-			if d.body.Msg.Trace != nil {
-				d.body.Msg.Trace.Stamp(core.HopDeliver, matchDone)
-			}
 			esz := d.body.EncodedSize()
 			if size+esz > maxDeliverBatchBytes && len(sc.batch.Deliveries) > 0 {
-				m.send(addr, wire.KindDeliverBatch, &sc.batch)
+				m.sendDeliverBatch(addr, &sc.batch, frameTraced)
 				sc.batch.Deliveries = sc.batch.Deliveries[:0]
-				size = 4
+				size, frameTraced = 4, false
 			}
 			sc.batch.Deliveries = append(sc.batch.Deliveries, d.body)
 			size += esz
+			frameTraced = frameTraced || d.body.Msg.Trace != nil
 		}
 		if len(sc.batch.Deliveries) > 0 {
-			m.send(addr, wire.KindDeliverBatch, &sc.batch)
+			m.sendDeliverBatch(addr, &sc.batch, frameTraced)
 		}
 	}
 
 	if traced {
 		if tel := m.cfg.Telemetry; tel != nil {
-			for _, msg := range it.msgs {
+			for _, msg := range msgs {
 				if msg.Trace != nil {
 					tel.Tracer.Record(msg.ID, msg.Trace)
 				}
 			}
 		}
 	}
-	if it.from != 0 {
-		if addr, ok := m.gsp.AddrOf(it.from); ok {
+	if from != 0 {
+		if addr, ok := m.gsp.AddrOf(from); ok {
 			sc.ackIDs = sc.ackIDs[:0]
 			sc.ackTraces = sc.ackTraces[:0]
-			for _, msg := range it.msgs {
+			for _, msg := range msgs {
 				sc.ackIDs = append(sc.ackIDs, msg.ID)
 				if msg.Trace != nil {
 					sc.ackTraces = append(sc.ackTraces, wire.AckTrace{Msg: msg.ID, Ctx: *msg.Trace})
@@ -333,4 +283,19 @@ func (m *Matcher) matchBatch(ds *dimSet, dim int, it forwardItem) {
 		}
 	}
 	putScratch(sc)
+}
+
+// sendDeliverBatch ships one DeliverBatch frame. When the frame carries a
+// traced message, HopDeliver is stamped just before the frame is encoded, so
+// the hop measures the flush and the frame carries the stamp.
+func (m *Matcher) sendDeliverBatch(addr string, b *wire.DeliverBatchBody, traced bool) {
+	if traced {
+		now := m.cfg.Now()
+		for i := range b.Deliveries {
+			if t := b.Deliveries[i].Msg.Trace; t != nil {
+				t.Stamp(core.HopDeliver, now)
+			}
+		}
+	}
+	m.send(addr, wire.KindDeliverBatch, b)
 }

@@ -109,8 +109,8 @@ func TestDeliveredCounterExcludesAddressless(t *testing.T) {
 	if h.m.Delivered.Value() != 1 {
 		t.Errorf("delivered=%d, want 1 (one had no address)", h.m.Delivered.Value())
 	}
-	if len(h.received(wire.KindDeliver)) != 1 {
-		t.Fatalf("deliver frames: %d", len(h.received(wire.KindDeliver)))
+	if len(h.received(wire.KindDeliverBatch)) != 1 {
+		t.Fatalf("deliver frames: %d", len(h.received(wire.KindDeliverBatch)))
 	}
 
 	// Same on the batched path.

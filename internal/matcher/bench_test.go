@@ -63,7 +63,8 @@ func benchMessages(n int) []*core.Message {
 }
 
 // BenchmarkMatchOne is the unbatched hot path: one stage item per message,
-// one Deliver frame per matched subscriber. subs=1000 fits in cache;
+// matched by matchItem as a one-message batch, one DeliverBatch frame per
+// destination address. subs=1000 fits in cache;
 // paper40k holds the paper workload's 40,000 subscriptions over two
 // subscribers on dimension 0 (about 150 matches per message), a set whose
 // slab and subscriptions do not, so it shows what a match costs per hit.
@@ -73,7 +74,7 @@ func BenchmarkMatchOne(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.matchOne(ds, 0, forwardItem{msg: msgs[i%len(msgs)]})
+			m.matchItem(ds, forwardItem{msg: msgs[i%len(msgs)]})
 		}
 	}
 	b.Run("subs=1000", func(b *testing.B) {
@@ -103,6 +104,6 @@ func BenchmarkMatchBatch64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += batch {
 		lo := i % (len(msgs) - batch)
-		m.matchBatch(ds, 0, forwardItem{msgs: msgs[lo : lo+batch]})
+		m.matchBatch(ds, msgs[lo:lo+batch], 0)
 	}
 }

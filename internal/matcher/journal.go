@@ -141,14 +141,12 @@ func (m *Matcher) journal(kind uint8, payload []byte) {
 func (m *Matcher) snapshotJournal() {
 	var payload []byte
 	for dim, ds := range m.dims {
-		for _, sh := range ds.shards {
-			sh.mu.RLock()
-			for _, s := range sh.idx.All(nil) {
-				body := (&wire.StoreBody{Dim: dim, Sub: s, DeliverAddr: sh.addrs[s.ID]}).Encode()
-				payload = store.AppendRecord(payload, recSubStore, body)
-			}
-			sh.mu.RUnlock()
+		ds.mu.RLock()
+		for _, s := range ds.idx.All(nil) {
+			body := (&wire.StoreBody{Dim: dim, Sub: s, DeliverAddr: ds.addrs[s.ID]}).Encode()
+			payload = store.AppendRecord(payload, recSubStore, body)
 		}
+		ds.mu.RUnlock()
 	}
 	if t := m.Table(); t != nil {
 		payload = store.AppendRecord(payload, recTable, t.Encode())

@@ -38,14 +38,6 @@ type Config struct {
 	Transport transport.Transport
 	// Seeds are gossip bootstrap addresses.
 	Seeds []string
-	// MatchShards partitions each dimension set into this many
-	// subscription-ID-hashed shards whose stab+verify work is matched in
-	// parallel on a shared worker pool (default 1 — the single-index layout;
-	// set runtime.GOMAXPROCS(0) to saturate the node from one stage).
-	MatchShards int
-	// WorkersPerDim sizes each dimension stage's worker pool (default 1 —
-	// the paper's one-core-per-dimension layout).
-	WorkersPerDim int
 	// QueueDepth bounds each dimension stage's queue (default 65536).
 	QueueDepth int
 	// ReportInterval is the load-report cadence (default 1s).
@@ -99,12 +91,6 @@ func (c *Config) defaults() error {
 	if c.ID == 0 || c.Addr == "" || c.Space == nil || c.Transport == nil {
 		return errors.New("matcher: ID, Addr, Space and Transport are required")
 	}
-	if c.MatchShards <= 0 {
-		c.MatchShards = 1
-	}
-	if c.WorkersPerDim <= 0 {
-		c.WorkersPerDim = 1
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 65536
 	}
@@ -129,26 +115,25 @@ func (c *Config) defaults() error {
 	return nil
 }
 
-// dimSet is one per-dimension subscription set — Config.MatchShards
-// subscription-ID-hashed index shards plus the SEDA stage matching messages
-// forwarded along this dimension. The stage serializes nothing about reads:
-// a batch's stab+verify work fans out across the shards on the matcher's
-// worker pool, while mutations lock only the one shard that owns the
-// subscription.
+// dimSet is one per-dimension subscription set: its index, the delivery
+// addresses of the subscriptions it holds, and the SEDA stage (one worker,
+// paper Section III-B1) matching messages forwarded along this dimension.
+//
+// Concurrency contract: index mutations (Add/Remove) take the write lock
+// and arrive from the transport handler paths; the stage's match path takes
+// the read lock once per item.
 type dimSet struct {
-	shards []*indexShard
-	stage  *sedaStage
+	mu    sync.RWMutex
+	idx   *index.Bucket
+	addrs map[core.SubscriptionID]string
+	stage *sedaStage
 }
 
-// subsCount returns the number of stored subscriptions across all shards.
+// subsCount returns the number of stored subscriptions.
 func (ds *dimSet) subsCount() int {
-	n := 0
-	for _, sh := range ds.shards {
-		sh.mu.RLock()
-		n += sh.idx.Len()
-		sh.mu.RUnlock()
-	}
-	return n
+	ds.mu.RLock()
+	defer ds.mu.RUnlock()
+	return ds.idx.Len()
 }
 
 // Matcher is a running matching server.
@@ -157,9 +142,6 @@ type Matcher struct {
 	gsp  *gossip.Gossiper
 	addr string
 	dims []*dimSet
-	// pool fans per-shard stab+verify work across workers (nil when
-	// MatchShards is 1 — the inline path).
-	pool *matchPool
 
 	tableMu sync.Mutex
 	table   *partition.Table
@@ -199,8 +181,8 @@ type Matcher struct {
 	Processed metrics.Counter
 	// Dropped counts forwarded messages rejected by stage backpressure.
 	Dropped metrics.Counter
-	// BusyNacks counts busy NACKs sent back to dispatchers (one per
-	// rejected message, whether single or inside a batch).
+	// BusyNacks counts busy NACKs sent back to dispatchers (one Busy entry
+	// per rejected message).
 	BusyNacks metrics.Counter
 	// Shed counts publications whose TTL expired while queued; they are
 	// acked but never matched.
@@ -242,17 +224,10 @@ func New(cfg Config) (*Matcher, error) {
 	k := cfg.Space.K()
 	m.dims = make([]*dimSet, k)
 	for i := 0; i < k; i++ {
-		ds := &dimSet{shards: make([]*indexShard, cfg.MatchShards)}
-		for j := range ds.shards {
-			ds.shards[j] = &indexShard{
-				idx:   index.NewBucket(cfg.Space, i, index.DefaultBuckets),
-				addrs: make(map[core.SubscriptionID]string),
-			}
+		m.dims[i] = &dimSet{
+			idx:   index.NewBucket(cfg.Space, i, index.DefaultBuckets),
+			addrs: make(map[core.SubscriptionID]string),
 		}
-		m.dims[i] = ds
-	}
-	if cfg.MatchShards > 1 {
-		m.pool = newMatchPool(cfg.MatchShards, cfg.MatchShards*k)
 	}
 	return m, nil
 }
@@ -298,11 +273,9 @@ func (m *Matcher) Start() error {
 	}
 	m.gsp = g
 	for i, ds := range m.dims {
-		dim := i
-		set := ds
-		set.stage = newSedaStage(fmt.Sprintf("%v-dim%d", m.cfg.ID, dim),
-			m.cfg.QueueDepth, m.cfg.WorkersPerDim, m.cfg.Now,
-			func(it forwardItem) { m.matchItem(set, dim, it) })
+		ds.stage = newSedaStage(fmt.Sprintf("%v-dim%d", m.cfg.ID, i),
+			m.cfg.QueueDepth, m.cfg.Now,
+			func(it forwardItem) { m.matchItem(ds, it) })
 	}
 	if m.cfg.Telemetry != nil {
 		m.registerTelemetry()
@@ -330,9 +303,6 @@ func (m *Matcher) Stop() {
 		}
 	}
 	m.wg.Wait()
-	if m.pool != nil {
-		m.pool.stop()
-	}
 	m.closeJournal()
 }
 
@@ -364,14 +334,8 @@ func (m *Matcher) handle(env *wire.Envelope) *wire.Envelope {
 			st.Enqueue(forwardItem{msg: b.Msg, from: env.From}) != nil {
 			m.Dropped.Add(1)
 			m.BusyNacks.Add(1)
-			// Explicit pushback instead of a silent drop: tell the sender
-			// which message was rejected so it can re-route immediately.
-			if env.From != 0 {
-				if addr, ok := m.gsp.AddrOf(env.From); ok {
-					m.send(addr, wire.KindBusy,
-						&wire.BusyBody{ID: b.Msg.ID, Dim: b.Dim, QueueLen: st.EventLen()})
-				}
-			}
+			busy := [1]wire.BusyEntry{{ID: b.Msg.ID, Dim: b.Dim, QueueLen: st.EventLen()}}
+			m.sendBusy(env.From, busy[:])
 		}
 		return nil
 	case wire.KindForwardBatch:
@@ -437,34 +401,31 @@ func (m *Matcher) handle(env *wire.Envelope) *wire.Envelope {
 	}
 }
 
-// store installs one subscription copy, locking only the shard that owns it.
-// Every Store, Transfer and journal-replay path comes through here, so this
+// store installs one subscription copy. Every Store, Transfer and journal-replay path comes through here, so this
 // is where a copy without one predicate per dimension, which the indexes
 // cannot hold, is dropped.
 func (m *Matcher) store(dim int, s *core.Subscription, deliverAddr string) {
 	if len(s.Predicates) != len(m.dims) {
 		return
 	}
-	sh := m.dims[dim].shards[shardOf(s.ID, m.cfg.MatchShards)]
-	sh.mu.Lock()
-	sh.idx.Add(s)
-	sh.addrs[s.ID] = deliverAddr
-	sh.mu.Unlock()
+	ds := m.dims[dim]
+	ds.mu.Lock()
+	ds.idx.Add(s)
+	ds.addrs[s.ID] = deliverAddr
+	ds.mu.Unlock()
 	m.mutations.Add(1)
 }
 
 // unsubscribe removes a subscription from every dimension set.
 func (m *Matcher) unsubscribe(id core.SubscriptionID) {
-	si := shardOf(id, m.cfg.MatchShards)
 	removed := false
 	for _, ds := range m.dims {
-		sh := ds.shards[si]
-		sh.mu.Lock()
-		if sh.idx.Remove(id) {
-			delete(sh.addrs, id)
+		ds.mu.Lock()
+		if ds.idx.Remove(id) {
+			delete(ds.addrs, id)
 			removed = true
 		}
-		sh.mu.Unlock()
+		ds.mu.Unlock()
 	}
 	if removed {
 		m.mutations.Add(1)
@@ -480,84 +441,18 @@ func (m *Matcher) SubsOnDim(dim int) int { return m.dims[dim].subsCount() }
 // up in the dimension stages and exercises the busy-NACK path.
 func (m *Matcher) SetServiceThrottle(d time.Duration) { m.throttleNs.Store(int64(d)) }
 
-// matchItem is the dimension stage handler, dispatching to the single or
-// batched matching path.
-func (m *Matcher) matchItem(ds *dimSet, dim int, it forwardItem) {
+// matchItem is the dimension stage handler. A single forward is matched as
+// a one-message batch; its array lives on this goroutine's stack.
+func (m *Matcher) matchItem(ds *dimSet, it forwardItem) {
 	if d := m.throttleNs.Load(); d > 0 {
 		time.Sleep(time.Duration(d) * time.Duration(it.count()))
 	}
-	if it.msgs != nil {
-		m.matchBatch(ds, dim, it)
-		return
+	msgs := it.msgs
+	if msgs == nil {
+		one := [1]*core.Message{it.msg}
+		msgs = one[:]
 	}
-	m.matchOne(ds, dim, it)
-}
-
-// matchOne matches one forwarded message against the dimension's set,
-// delivers to each matched subscriber (one Deliver frame per subscriber —
-// the message-per-frame semantics of the unbatched path), and acknowledges
-// the forwarding dispatcher (which retransmits unacked messages when
-// persistence is on).
-func (m *Matcher) matchOne(ds *dimSet, dim int, it forwardItem) {
-	msg := it.msg
-	var tnow int64
-	if msg.Trace != nil {
-		tnow = m.cfg.Now()
-		msg.Trace.Stamp(core.HopDequeue, tnow)
-	}
-	// TTL shedding at dequeue: an expired publication is acked (processing
-	// is complete — deliberately shed) but never matched or delivered.
-	if msg.TTL > 0 && m.cfg.Now() > msg.PublishedAt+msg.TTL {
-		m.Shed.Add(1)
-		m.Processed.Add(1)
-		if it.from != 0 {
-			if addr, ok := m.gsp.AddrOf(it.from); ok {
-				m.send(addr, wire.KindForwardAck, &wire.ForwardAckBody{ID: msg.ID, Trace: msg.Trace})
-			}
-		}
-		return
-	}
-	sc := getScratch()
-	scanned := 0
-	for _, sh := range ds.shards {
-		sh.mu.RLock()
-		var n int
-		sc.hits, n = sh.idx.MatchHits(msg, sc.hits[:0])
-		scanned += n
-		sc.group(sh, msg)
-		sh.mu.RUnlock()
-	}
-	m.Scanned.Add(int64(scanned))
-	m.Processed.Add(1)
-	if msg.Trace != nil {
-		done := m.cfg.Now()
-		msg.Trace.Stamp(core.HopMatch, done)
-		m.matchLatency.Observe(done - msg.Trace.Hops[core.HopDequeue])
-	}
-	for i := range sc.dels {
-		d := &sc.dels[i]
-		m.Matched.Add(int64(len(d.body.SubIDs)))
-		if d.addr == "" {
-			continue // nowhere to deliver (registered without an address)
-		}
-		// Stamp before encode so the deliver frame carries the hop.
-		if msg.Trace != nil {
-			msg.Trace.Stamp(core.HopDeliver, m.cfg.Now())
-		}
-		m.Delivered.Add(int64(len(d.body.SubIDs)))
-		m.send(d.addr, wire.KindDeliver, &d.body)
-	}
-	putScratch(sc)
-	if msg.Trace != nil {
-		if tel := m.cfg.Telemetry; tel != nil {
-			tel.Tracer.Record(msg.ID, msg.Trace)
-		}
-	}
-	if it.from != 0 {
-		if addr, ok := m.gsp.AddrOf(it.from); ok {
-			m.send(addr, wire.KindForwardAck, &wire.ForwardAckBody{ID: msg.ID, Trace: msg.Trace})
-		}
-	}
+	m.matchBatch(ds, msgs, it.from)
 }
 
 // appendBody is any wire body that can encode itself into a scratch buffer.
@@ -613,17 +508,13 @@ func (m *Matcher) adopt(id uint64) bool {
 func (m *Matcher) handover(b *wire.HandoverBody) {
 	ds := m.dims[b.Dim]
 	r := core.Range{Low: b.Low, High: b.High}
-	var subs []*core.Subscription
-	var addrs []string
-	for _, sh := range ds.shards {
-		sh.mu.RLock()
-		start := len(subs)
-		subs = sh.idx.Overlapping(r, subs)
-		for _, s := range subs[start:] {
-			addrs = append(addrs, sh.addrs[s.ID])
-		}
-		sh.mu.RUnlock()
+	ds.mu.RLock()
+	subs := ds.idx.Overlapping(r, nil)
+	addrs := make([]string, len(subs))
+	for i, s := range subs {
+		addrs[i] = ds.addrs[s.ID]
 	}
+	ds.mu.RUnlock()
 	tid := b.TransferID
 	if tid == 0 {
 		tid = wire.TransferRangeID(m.cfg.ID, 0, b.Dim, b.Low, b.High)
@@ -639,12 +530,10 @@ func (m *Matcher) SplitPoint(dim int, r core.Range) float64 {
 	if dim < 0 || dim >= len(m.dims) {
 		return r.Low + (r.High-r.Low)/2
 	}
-	var subs []*core.Subscription
-	for _, sh := range m.dims[dim].shards {
-		sh.mu.RLock()
-		subs = sh.idx.Overlapping(r, subs)
-		sh.mu.RUnlock()
-	}
+	ds := m.dims[dim]
+	ds.mu.RLock()
+	subs := ds.idx.Overlapping(r, nil)
+	ds.mu.RUnlock()
 	return partition.SplitPoint(subs, dim, r)
 }
 
@@ -687,21 +576,13 @@ func (m *Matcher) LoadSnapshot() []forward.DimLoad {
 // match against the stored set, so the first reports carry realistic costs.
 func (m *Matcher) seedStage(dim int) {
 	ds := m.dims[dim]
-	var probe *core.Subscription
-	for _, sh := range ds.shards {
-		sh.mu.RLock()
-		all := sh.idx.All(nil)
-		if len(all) > 0 {
-			probe = all[0]
-		}
-		sh.mu.RUnlock()
-		if probe != nil {
-			break
-		}
-	}
-	if probe == nil {
+	ds.mu.RLock()
+	all := ds.idx.All(nil)
+	ds.mu.RUnlock()
+	if len(all) == 0 {
 		return
 	}
+	probe := all[0]
 	attrs := make([]float64, m.cfg.Space.K())
 	for i, p := range probe.Predicates {
 		attrs[i] = (p.Low + p.High) / 2
@@ -709,12 +590,10 @@ func (m *Matcher) seedStage(dim int) {
 	msg := core.NewMessage(attrs, nil)
 	sc := getScratch()
 	start := time.Now()
-	for _, sh := range ds.shards {
-		sh.mu.RLock()
-		sc.hits, _ = sh.idx.MatchHits(msg, sc.hits[:0])
-		sc.group(sh, msg)
-		sh.mu.RUnlock()
-	}
+	ds.mu.RLock()
+	sc.hits, _ = ds.idx.MatchHits(msg, sc.hits[:0])
+	sc.group(ds, msg)
+	ds.mu.RUnlock()
 	ns := float64(time.Since(start))
 	putScratch(sc)
 	if ns < 1 {
@@ -825,17 +704,15 @@ func (m *Matcher) pruneTo(t *partition.Table) {
 			}
 			return false
 		}
-		for _, sh := range ds.shards {
-			sh.mu.Lock()
-			for _, s := range sh.idx.All(nil) {
-				if !overlapsAny(s.Predicates[dim]) {
-					sh.idx.Remove(s.ID)
-					delete(sh.addrs, s.ID)
-					m.mutations.Add(1)
-				}
+		ds.mu.Lock()
+		for _, s := range ds.idx.All(nil) {
+			if !overlapsAny(s.Predicates[dim]) {
+				ds.idx.Remove(s.ID)
+				delete(ds.addrs, s.ID)
+				m.mutations.Add(1)
 			}
-			sh.mu.Unlock()
 		}
+		ds.mu.Unlock()
 	}
 }
 

@@ -90,6 +90,49 @@ func (h *harness) received(kind wire.Kind) []*wire.Envelope {
 	return out
 }
 
+// deliveries decodes every DeliverBatch frame the peer received.
+func (h *harness) deliveries(t *testing.T) []wire.DeliverBody {
+	t.Helper()
+	var out []wire.DeliverBody
+	for _, env := range h.received(wire.KindDeliverBatch) {
+		b, err := wire.DecodeDeliverBatch(env.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b.Deliveries...)
+	}
+	return out
+}
+
+// introduceSender runs one gossip exchange that introduces the sender h.send
+// stamps (node 99) at "peer", so the matcher can address its acks.
+func (h *harness) introduceSender(t *testing.T, now func() int64) {
+	t.Helper()
+	g, err := gossip.New(gossip.Config{ID: 99, Addr: "peer", Role: core.RoleDispatcher,
+		Transport: h.mesh.Endpoint("gossip-99"), Seeds: []string{"m1"}, Now: now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Round()
+	if _, ok := h.m.Gossiper().AddrOf(99); !ok {
+		t.Fatal("matcher did not learn the sender's address")
+	}
+}
+
+// acks decodes every ForwardAckBatch frame the peer received.
+func (h *harness) acks(t *testing.T) []*wire.ForwardAckBatchBody {
+	t.Helper()
+	var out []*wire.ForwardAckBatchBody
+	for _, env := range h.received(wire.KindForwardAckBatch) {
+		b, err := wire.DecodeForwardAckBatch(env.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -117,13 +160,13 @@ func TestStoreForwardDeliver(t *testing.T) {
 	msg := core.NewMessage([]float64{20, 30}, []byte("x"))
 	msg.ID = 77
 	h.send(t, wire.KindForward, (&wire.ForwardBody{Dim: 0, Msg: msg}).Encode())
-	waitFor(t, func() bool { return len(h.received(wire.KindDeliver)) == 1 })
+	waitFor(t, func() bool { return len(h.received(wire.KindDeliverBatch)) == 1 })
 
-	d, err := wire.DecodeDeliver(h.received(wire.KindDeliver)[0].Body)
-	if err != nil {
-		t.Fatal(err)
+	ds := h.deliveries(t)
+	if len(ds) != 1 {
+		t.Fatalf("deliveries: %+v", ds)
 	}
-	if d.Subscriber != 5 || d.Msg.ID != 77 || len(d.SubIDs) != 1 || d.SubIDs[0] != 5 {
+	if d := ds[0]; d.Subscriber != 5 || d.Msg.ID != 77 || len(d.SubIDs) != 1 || d.SubIDs[0] != 5 {
 		t.Fatalf("delivery: %+v", d)
 	}
 	if h.m.Processed.Value() != 1 || h.m.Matched.Value() != 1 {
@@ -138,7 +181,7 @@ func TestForwardNonMatchingDeliversNothing(t *testing.T) {
 	msg := core.NewMessage([]float64{60, 30}, nil) // outside dim-0 predicate
 	h.send(t, wire.KindForward, (&wire.ForwardBody{Dim: 0, Msg: msg}).Encode())
 	waitFor(t, func() bool { return h.m.Processed.Value() == 1 })
-	if len(h.received(wire.KindDeliver)) != 0 {
+	if len(h.received(wire.KindDeliverBatch)) != 0 {
 		t.Error("non-matching message delivered")
 	}
 }
@@ -154,12 +197,12 @@ func TestDimensionSetsAreSeparate(t *testing.T) {
 	msg := core.NewMessage([]float64{20, 30}, nil)
 	h.send(t, wire.KindForward, (&wire.ForwardBody{Dim: 0, Msg: msg}).Encode())
 	waitFor(t, func() bool { return h.m.Processed.Value() == 1 })
-	if len(h.received(wire.KindDeliver)) != 0 {
+	if len(h.received(wire.KindDeliverBatch)) != 0 {
 		t.Error("matched against wrong dimension set")
 	}
 	// The same message forwarded along dim 1 matches.
 	h.send(t, wire.KindForward, (&wire.ForwardBody{Dim: 1, Msg: msg}).Encode())
-	waitFor(t, func() bool { return len(h.received(wire.KindDeliver)) == 1 })
+	waitFor(t, func() bool { return len(h.deliveries(t)) == 1 })
 }
 
 func TestUnsubscribeRemovesEverywhere(t *testing.T) {
@@ -184,10 +227,10 @@ func TestDeliveryGroupedPerSubscriber(t *testing.T) {
 	waitFor(t, func() bool { return h.m.SubsOnDim(0) == 2 })
 	msg := core.NewMessage([]float64{20, 20}, nil)
 	h.send(t, wire.KindForward, (&wire.ForwardBody{Dim: 0, Msg: msg}).Encode())
-	waitFor(t, func() bool { return len(h.received(wire.KindDeliver)) == 1 })
-	d, _ := wire.DecodeDeliver(h.received(wire.KindDeliver)[0].Body)
-	if len(d.SubIDs) != 2 {
-		t.Fatalf("SubIDs: %v", d.SubIDs)
+	waitFor(t, func() bool { return len(h.received(wire.KindDeliverBatch)) == 1 })
+	ds := h.deliveries(t)
+	if len(ds) != 1 || len(ds[0].SubIDs) != 2 {
+		t.Fatalf("deliveries: %+v", ds)
 	}
 }
 
@@ -283,10 +326,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestTTLShedAtDequeue: on the single-message path (matchOne) and the batch
-// path (matchBatch), a publication whose TTL expired while queued is acked,
-// never delivered, and counted in Shed; one still inside its TTL is
-// delivered. The matcher's clock is injected and advanced past
+// TestTTLShedAtDequeue: whether it arrives in a Forward or a ForwardBatch
+// frame, a publication whose TTL expired while queued is acked in a
+// ForwardAckBatch, never delivered, and counted in Shed; one still inside
+// its TTL is delivered. The matcher's clock is injected and advanced past
 // PublishedAt+TTL for the expired cases.
 func TestTTLShedAtDequeue(t *testing.T) {
 	const published, ttl = int64(1_000_000_000), int64(time.Second)
@@ -303,17 +346,7 @@ func TestTTLShedAtDequeue(t *testing.T) {
 			var clock atomic.Int64
 			clock.Store(published)
 			h := newHarnessMut(t, func(c *Config) { c.Now = clock.Load })
-			// One gossip exchange introduces the sender (node 99, as stamped by
-			// h.send) at "peer", so the matcher can address its acks.
-			g, err := gossip.New(gossip.Config{ID: 99, Addr: "peer", Role: core.RoleDispatcher,
-				Transport: h.mesh.Endpoint("gossip-99"), Seeds: []string{"m1"}, Now: clock.Load})
-			if err != nil {
-				t.Fatal(err)
-			}
-			g.Round()
-			if _, ok := h.m.Gossiper().AddrOf(99); !ok {
-				t.Fatal("matcher did not learn the sender's address")
-			}
+			h.introduceSender(t, clock.Load)
 			h.send(t, wire.KindStore, (&wire.StoreBody{Dim: 0, Sub: mkSub(5, 0, 100), DeliverAddr: "peer"}).Encode())
 			waitFor(t, func() bool { return h.m.SubsOnDim(0) == 1 })
 
@@ -322,9 +355,7 @@ func TestTTLShedAtDequeue(t *testing.T) {
 			if tc.expired {
 				clock.Store(published + ttl + 1)
 			}
-			ackKind, delKind := wire.KindForwardAck, wire.KindDeliver
 			if tc.batch {
-				ackKind, delKind = wire.KindForwardAckBatch, wire.KindDeliverBatch
 				h.send(t, wire.KindForwardBatch, (&wire.ForwardBatchBody{Entries: []wire.ForwardEntry{{Dim: 0, Msg: msg}}}).Encode())
 			} else {
 				h.send(t, wire.KindForward, (&wire.ForwardBody{Dim: 0, Msg: msg}).Encode())
@@ -332,15 +363,9 @@ func TestTTLShedAtDequeue(t *testing.T) {
 
 			// The ack leaves after any delivery frame, so once it is in,
 			// the delivery count is final.
-			waitFor(t, func() bool { return len(h.received(ackKind)) == 1 })
-			ack := h.received(ackKind)[0]
-			if tc.batch {
-				b, err := wire.DecodeForwardAckBatch(ack.Body)
-				if err != nil || len(b.IDs) != 1 || b.IDs[0] != 42 {
-					t.Fatalf("ack batch: %+v %v", b, err)
-				}
-			} else if b, err := wire.DecodeForwardAck(ack.Body); err != nil || b.ID != 42 {
-				t.Fatalf("ack: %+v %v", b, err)
+			waitFor(t, func() bool { return len(h.received(wire.KindForwardAckBatch)) == 1 })
+			if b := h.acks(t)[0]; len(b.IDs) != 1 || b.IDs[0] != 42 || len(b.Busy) != 0 {
+				t.Fatalf("ack batch: %+v", b)
 			}
 			wantShed, wantDelivered := int64(0), 1
 			if tc.expired {
@@ -349,7 +374,7 @@ func TestTTLShedAtDequeue(t *testing.T) {
 			if got := h.m.Shed.Value(); got != wantShed {
 				t.Errorf("Shed = %d, want %d", got, wantShed)
 			}
-			if got := len(h.received(delKind)); got != wantDelivered {
+			if got := len(h.received(wire.KindDeliverBatch)); got != wantDelivered {
 				t.Errorf("delivery frames = %d, want %d", got, wantDelivered)
 			}
 			if got := h.m.Delivered.Value(); got != int64(wantDelivered) {
@@ -367,9 +392,9 @@ func mkBox(id core.SubscriptionID, lo0, hi0, lo1, hi1 float64) *core.Subscriptio
 }
 
 // TestMatchCorrectnessAllConfigs runs the same store-forward-deliver
-// workload through the inline and the sharded match path and checks the
-// delivered (subscriber, message, subscription) set against the brute-force
-// oracle.
+// workload once as one Forward frame per message and once as one
+// ForwardBatch, and checks both delivered (subscriber, message,
+// subscription) sets against the brute-force oracle.
 func TestMatchCorrectnessAllConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var subs []*core.Subscription
@@ -403,34 +428,34 @@ func TestMatchCorrectnessAllConfigs(t *testing.T) {
 		}
 	}
 
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			h := newHarnessMut(t, func(c *Config) { c.MatchShards = shards })
+	for _, input := range []string{"forward", "forward-batch"} {
+		t.Run("input="+input, func(t *testing.T) {
+			h := newHarness(t)
 			for _, s := range subs {
 				h.send(t, wire.KindStore, (&wire.StoreBody{Dim: 0, Sub: s, DeliverAddr: "peer"}).Encode())
 			}
 			waitFor(t, func() bool { return h.m.SubsOnDim(0) == len(subs) })
-			var entries []wire.ForwardEntry
-			for _, m := range msgs {
-				entries = append(entries, wire.ForwardEntry{Dim: 0, Msg: m})
+			if input == "forward" {
+				for _, m := range msgs {
+					h.send(t, wire.KindForward, (&wire.ForwardBody{Dim: 0, Msg: m}).Encode())
+				}
+			} else {
+				var entries []wire.ForwardEntry
+				for _, m := range msgs {
+					entries = append(entries, wire.ForwardEntry{Dim: 0, Msg: m})
+				}
+				h.send(t, wire.KindForwardBatch, (&wire.ForwardBatchBody{Entries: entries}).Encode())
 			}
-			h.send(t, wire.KindForwardBatch, (&wire.ForwardBatchBody{Entries: entries}).Encode())
 			waitFor(t, func() bool { return h.m.Processed.Value() == int64(len(msgs)) })
 
 			got := map[pair]bool{}
-			for _, env := range h.received(wire.KindDeliverBatch) {
-				b, err := wire.DecodeDeliverBatch(env.Body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, d := range b.Deliveries {
-					for _, id := range d.SubIDs {
-						p := pair{id, d.Msg.ID}
-						if got[p] {
-							t.Fatalf("duplicate delivery %+v", p)
-						}
-						got[p] = true
+			for _, d := range h.deliveries(t) {
+				for _, id := range d.SubIDs {
+					p := pair{id, d.Msg.ID}
+					if got[p] {
+						t.Fatalf("duplicate delivery %+v", p)
 					}
+					got[p] = true
 				}
 			}
 			if len(got) != len(want) {
@@ -448,12 +473,12 @@ func TestMatchCorrectnessAllConfigs(t *testing.T) {
 	}
 }
 
-// TestParallelMatchStress hammers the sharded match path with concurrent
-// subscription churn (Add/Remove through the shard write locks) while
-// forwarded batches fan stab+verify work across the worker pool — the
+// TestParallelMatchStress hammers the match path with concurrent
+// subscription churn (Add/Remove under the dimension set's write lock) while
+// interleaved single and batched forwards match under its read lock — the
 // mutation-vs-read concurrency contract under -race.
 func TestParallelMatchStress(t *testing.T) {
-	h := newHarnessMut(t, func(c *Config) { c.MatchShards = 4 })
+	h := newHarness(t)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -483,15 +508,21 @@ func TestParallelMatchStress(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	var mid core.MessageID
+	next := func() *core.Message {
+		mid++
+		m := core.NewMessage([]float64{rng.Float64() * 100, rng.Float64() * 100}, nil)
+		m.ID = mid
+		return m
+	}
 	for round := 0; round < 40; round++ {
 		var entries []wire.ForwardEntry
 		for i := 0; i < 64; i++ {
-			mid++
-			m := core.NewMessage([]float64{rng.Float64() * 100, rng.Float64() * 100}, nil)
-			m.ID = mid
-			entries = append(entries, wire.ForwardEntry{Dim: 0, Msg: m})
+			entries = append(entries, wire.ForwardEntry{Dim: 0, Msg: next()})
 		}
 		h.send(t, wire.KindForwardBatch, (&wire.ForwardBatchBody{Entries: entries}).Encode())
+		for i := 0; i < 16; i++ {
+			h.send(t, wire.KindForward, (&wire.ForwardBody{Dim: 0, Msg: next()}).Encode())
+		}
 	}
 	waitFor(t, func() bool { return h.m.Processed.Value() == int64(mid) })
 	close(stop)
@@ -501,47 +532,124 @@ func TestParallelMatchStress(t *testing.T) {
 	}
 }
 
-// TestMatchBatchZeroAlloc pins the steady-state batched match path at zero
-// allocations per message, on both the inline single-shard layout and the
-// parallel multi-shard layout.
+// TestMatchBatchZeroAlloc pins the steady-state match path at zero
+// allocations per message, for a 64-message batch and for a single forward,
+// which matchItem matches as a one-message batch.
 func TestMatchBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pin runs without -race")
 	}
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			m, err := New(Config{
-				ID: 1, Addr: "bench", Space: testSpace, Transport: nullTransport{},
-				MatchShards: shards,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				if m.pool != nil {
-					m.pool.stop()
-				}
-			}()
-			rng := rand.New(rand.NewSource(5))
-			for i := 1; i <= 400; i++ {
-				lo0, lo1 := rng.Float64()*70, rng.Float64()*70
-				m.store(0, mkBox(core.SubscriptionID(i), lo0, lo0+25, lo1, lo1+25), "sink")
-			}
-			batch := make([]*core.Message, 64)
-			for i := range batch {
-				msg := core.NewMessage([]float64{rng.Float64() * 100, rng.Float64() * 100}, nil)
-				msg.ID = core.MessageID(i + 1)
-				batch[i] = msg
-			}
-			ds := m.dims[0]
-			run := func() { m.matchBatch(ds, 0, forwardItem{msgs: batch}) }
+	m, err := New(Config{ID: 1, Addr: "bench", Space: testSpace, Transport: nullTransport{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 1; i <= 400; i++ {
+		lo0, lo1 := rng.Float64()*70, rng.Float64()*70
+		m.store(0, mkBox(core.SubscriptionID(i), lo0, lo0+25, lo1, lo1+25), "sink")
+	}
+	batch := make([]*core.Message, 64)
+	for i := range batch {
+		msg := core.NewMessage([]float64{rng.Float64() * 100, rng.Float64() * 100}, nil)
+		msg.ID = core.MessageID(i + 1)
+		batch[i] = msg
+	}
+	ds := m.dims[0]
+	for _, tc := range []struct {
+		name string
+		n    int
+		run  func()
+	}{
+		{"batch", len(batch), func() { m.matchItem(ds, forwardItem{msgs: batch}) }},
+		{"single", 1, func() { m.matchItem(ds, forwardItem{msg: batch[7]}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			for i := 0; i < 5; i++ {
-				run() // warm the pooled scratch, shard jobs and encode buffers
+				tc.run() // warm the pooled scratch and encode buffers
 			}
-			allocs := testing.AllocsPerRun(50, run)
-			perMsg := allocs / float64(len(batch))
-			if perMsg != 0 {
-				t.Errorf("%.4f allocs/msg on the batched match path, want 0", perMsg)
+			if perMsg := testing.AllocsPerRun(50, tc.run) / float64(tc.n); perMsg != 0 {
+				t.Errorf("%.4f allocs/msg on the match path, want 0", perMsg)
+			}
+		})
+	}
+}
+
+// TestBusyReplyForSingleForward: a single Forward that its full stage
+// rejects is answered by a ForwardAckBatch carrying no IDs and exactly one
+// Busy entry naming the publication, its dimension and the stage backlog.
+func TestBusyReplyForSingleForward(t *testing.T) {
+	h := newHarnessMut(t, func(c *Config) { c.QueueDepth = 1 })
+	h.introduceSender(t, nil)
+	// A slow stage: the first forward occupies the worker, the second the
+	// one queue slot, so the rest are rejected on arrival.
+	h.m.SetServiceThrottle(50 * time.Millisecond)
+	sent := map[core.MessageID]bool{}
+	for i := 1; i <= 6; i++ {
+		msg := core.NewMessage([]float64{20, 30}, nil)
+		msg.ID = core.MessageID(i)
+		sent[msg.ID] = true
+		h.send(t, wire.KindForward, (&wire.ForwardBody{Dim: 1, Msg: msg}).Encode())
+	}
+	waitFor(t, func() bool {
+		return h.m.BusyNacks.Value() > 0 &&
+			h.m.Processed.Value()+h.m.BusyNacks.Value() == int64(len(sent))
+	})
+	waitFor(t, func() bool { return len(h.received(wire.KindForwardAckBatch)) == len(sent) })
+	busy := 0
+	for _, b := range h.acks(t) {
+		if len(b.Busy) == 0 {
+			continue
+		}
+		busy++
+		if len(b.IDs) != 0 || len(b.Traces) != 0 || len(b.Busy) != 1 {
+			t.Fatalf("busy reply: %+v", b)
+		}
+		if e := b.Busy[0]; !sent[e.ID] || e.Dim != 1 || e.QueueLen < 1 {
+			t.Fatalf("busy entry: %+v", e)
+		}
+	}
+	if int64(busy) != h.m.BusyNacks.Value() {
+		t.Fatalf("%d busy replies, BusyNacks=%d", busy, h.m.BusyNacks.Value())
+	}
+}
+
+// TestHopDeliverStamped: a traced forward, single or batched, comes back
+// with HopDeliver read from the clock when its deliver frame is flushed,
+// after HopMatch, both in the delivery and in the ack.
+func TestHopDeliverStamped(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			var clock atomic.Int64
+			tick := func() int64 { return clock.Add(1000) }
+			h := newHarnessMut(t, func(c *Config) { c.Now = tick })
+			h.introduceSender(t, tick)
+			h.send(t, wire.KindStore, (&wire.StoreBody{Dim: 0, Sub: mkSub(5, 0, 100), DeliverAddr: "peer"}).Encode())
+			waitFor(t, func() bool { return h.m.SubsOnDim(0) == 1 })
+
+			msg := core.NewMessage([]float64{20, 30}, nil)
+			msg.ID = 42
+			msg.Trace = &core.TraceCtx{ID: 42, Dispatcher: 99, Dim: 0}
+			if batched {
+				h.send(t, wire.KindForwardBatch, (&wire.ForwardBatchBody{Entries: []wire.ForwardEntry{{Dim: 0, Msg: msg}}}).Encode())
+			} else {
+				h.send(t, wire.KindForward, (&wire.ForwardBody{Dim: 0, Msg: msg}).Encode())
+			}
+			waitFor(t, func() bool { return len(h.received(wire.KindForwardAckBatch)) == 1 })
+			ack := h.acks(t)[0]
+			if len(ack.Traces) != 1 {
+				t.Fatalf("ack traces: %+v", ack)
+			}
+			ds := h.deliveries(t)
+			if len(ds) != 1 || ds[0].Msg.Trace == nil {
+				t.Fatalf("deliveries: %+v", ds)
+			}
+			for name, hops := range map[string][core.HopCount]int64{
+				"ack": ack.Traces[0].Ctx.Hops, "delivery": ds[0].Msg.Trace.Hops,
+			} {
+				if hops[core.HopMatch] == 0 || hops[core.HopDeliver] <= hops[core.HopMatch] {
+					t.Errorf("%s: match %d, deliver %d; want deliver after match",
+						name, hops[core.HopMatch], hops[core.HopDeliver])
+				}
 			}
 		})
 	}

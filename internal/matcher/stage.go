@@ -6,9 +6,9 @@ import (
 )
 
 // forwardItem is one unit of work for a dimension stage: either a single
-// forwarded publication (message-per-frame path) or a batch of publications
-// that arrived in one ForwardBatch frame, plus the forwarding dispatcher
-// (acked back to it by the persistence extension).
+// publication that arrived in one Forward frame or a batch that arrived in
+// one ForwardBatch frame, plus the forwarding dispatcher (acked back to it
+// by the persistence extension). Both are matched as a batch.
 type forwardItem struct {
 	msg  *core.Message   // single publication; nil on the batched path
 	msgs []*core.Message // batched publications; nil on the single path
@@ -27,12 +27,13 @@ func (it forwardItem) count() int64 {
 // forwarded publications (single or batched).
 type sedaStage = seda.Stage[forwardItem]
 
-// newSedaStage builds and starts one dimension stage. Items are weighted by
+// newSedaStage builds and starts one dimension stage with the seda default of
+// one worker, the paper's one core per dimension. Items are weighted by
 // the number of publications they carry so λ, μ and queue lengths stay in
 // per-message units under batching.
-func newSedaStage(name string, depth, workers int, now func() int64, fn func(forwardItem)) *sedaStage {
+func newSedaStage(name string, depth int, now func() int64, fn func(forwardItem)) *sedaStage {
 	return seda.New(seda.Config[forwardItem]{
-		Name: name, Depth: depth, Workers: workers, Now: now,
+		Name: name, Depth: depth, Now: now,
 		Weight: forwardItem.count,
 	}, fn)
 }

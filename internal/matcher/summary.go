@@ -9,7 +9,7 @@ import (
 // periodically asks every local matcher for the per-dimension union of its
 // stored subscriptions' predicates (KindSummaryRequest); the border merges
 // those unions into the cluster summary it gossips to peer clusters. The
-// computation enumerates every shard's index with All, and copies of one
+// computation enumerates every dimension set's index with All, and copies of one
 // subscription stored on several dimension sets dedup by ID.
 
 // summaryMaxRanges caps the per-dimension interval count of one matcher's
@@ -34,28 +34,26 @@ func (m *Matcher) handleSummaryRequest(b *wire.SummaryRequestBody) *wire.Envelop
 		Body: resp.Encode()}
 }
 
-// InterestSummary enumerates every dimension set's shards and returns, per
+// InterestSummary enumerates every dimension set and returns, per
 // space dimension, the merged disjoint interval union over all stored
 // subscriptions' predicates, capped at maxRanges intervals per dimension.
 // Border-owned subscribers (core.IsFederationSubscriber) are excluded so
 // remote interest registered by the local border tier never leaks back
 // into this cluster's own summary. Deterministic for a given subscription
-// set: enumeration feeds a sorted merge, so shard and arrival order do not
+// set: enumeration feeds a sorted merge, so arrival order does not
 // affect the result.
 func (m *Matcher) InterestSummary(maxRanges int) [][]core.Range {
 	k := m.cfg.Space.K()
 	seen := make(map[core.SubscriptionID]*core.Subscription)
 	for _, ds := range m.dims {
-		for _, sh := range ds.shards {
-			sh.mu.RLock()
-			for _, s := range sh.idx.All(nil) {
-				if core.IsFederationSubscriber(s.Subscriber) {
-					continue
-				}
-				seen[s.ID] = s
+		ds.mu.RLock()
+		for _, s := range ds.idx.All(nil) {
+			if core.IsFederationSubscriber(s.Subscriber) {
+				continue
 			}
-			sh.mu.RUnlock()
+			seen[s.ID] = s
 		}
+		ds.mu.RUnlock()
 	}
 	dims := make([][]core.Range, k)
 	for _, s := range seen {

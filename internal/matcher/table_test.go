@@ -82,7 +82,10 @@ func TestPruneAfterTableChange(t *testing.T) {
 	// The survivor is the lower-half subscription.
 	msg := core.NewMessage([]float64{10, 50}, nil)
 	h.send(t, wire.KindForward, (&wire.ForwardBody{Dim: 0, Msg: msg}).Encode())
-	waitFor(t, func() bool { return len(h.received(wire.KindDeliver)) == 1 })
+	waitFor(t, func() bool { return len(h.received(wire.KindDeliverBatch)) == 1 })
+	if ds := h.deliveries(t); len(ds) != 1 || ds[0].Subscriber != 1 {
+		t.Fatalf("deliveries: %+v", ds)
+	}
 }
 
 func TestPruneSkippedWhenRemovedFromTable(t *testing.T) {

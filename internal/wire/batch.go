@@ -29,8 +29,8 @@ type ForwardEntry struct {
 	Msg *core.Message
 }
 
-// EncodedSize returns an upper bound for the entry's encoded size, used by
-// batchers to stay under MaxFrame without encoding twice.
+// EncodedSize is the exact length the entry occupies in a ForwardBatch,
+// used by batchers to stay under MaxFrame without encoding twice.
 func (e ForwardEntry) EncodedSize() int {
 	return 2 + messageSize(e.Msg)
 }
@@ -54,8 +54,19 @@ func (b *ForwardBatchBody) AppendTo(buf []byte) []byte {
 	return w.buf
 }
 
-// Encode serializes the body.
-func (b *ForwardBatchBody) Encode() []byte { return b.AppendTo(nil) }
+// EncodedSize is the exact length AppendTo writes for b.
+func (b *ForwardBatchBody) EncodedSize() int {
+	n := 4
+	for _, e := range b.Entries {
+		n += e.EncodedSize()
+	}
+	return n
+}
+
+// Encode serializes the body into one exact-size allocation.
+func (b *ForwardBatchBody) Encode() []byte {
+	return b.AppendTo(make([]byte, 0, b.EncodedSize()))
+}
 
 // DecodeForwardBatch parses a ForwardBatchBody.
 func DecodeForwardBatch(data []byte) (*ForwardBatchBody, error) {
@@ -96,8 +107,19 @@ func (b *DeliverBatchBody) AppendTo(buf []byte) []byte {
 	return w.buf
 }
 
-// Encode serializes the body.
-func (b *DeliverBatchBody) Encode() []byte { return b.AppendTo(nil) }
+// EncodedSize is the exact length AppendTo writes for b.
+func (b *DeliverBatchBody) EncodedSize() int {
+	n := 4
+	for i := range b.Deliveries {
+		n += b.Deliveries[i].EncodedSize()
+	}
+	return n
+}
+
+// Encode serializes the body into one exact-size allocation.
+func (b *DeliverBatchBody) Encode() []byte {
+	return b.AppendTo(make([]byte, 0, b.EncodedSize()))
+}
 
 // DecodeDeliverBatch parses a DeliverBatchBody.
 func DecodeDeliverBatch(data []byte) (*DeliverBatchBody, error) {
@@ -162,8 +184,18 @@ func (b *ForwardAckBatchBody) AppendTo(buf []byte) []byte {
 	return w.buf
 }
 
-// Encode serializes the body.
-func (b *ForwardAckBatchBody) Encode() []byte { return b.AppendTo(nil) }
+// busyEntrySize is a BusyEntry's encoded length: ID, dim, queue length.
+const busyEntrySize = 8 + 2 + 4
+
+// EncodedSize is the exact length AppendTo writes for b.
+func (b *ForwardAckBatchBody) EncodedSize() int {
+	return 4 + 8*len(b.IDs) + 4 + len(b.Traces)*(8+TraceOverhead) + 4 + busyEntrySize*len(b.Busy)
+}
+
+// Encode serializes the body into one exact-size allocation.
+func (b *ForwardAckBatchBody) Encode() []byte {
+	return b.AppendTo(make([]byte, 0, b.EncodedSize()))
+}
 
 // DecodeForwardAckBatch parses a ForwardAckBatchBody.
 func DecodeForwardAckBatch(data []byte) (*ForwardAckBatchBody, error) {

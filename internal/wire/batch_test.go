@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"bluedove/internal/core"
@@ -92,9 +93,22 @@ func TestDeliverBatchMatchesSingleEncoding(t *testing.T) {
 }
 
 // TestDeliverEncodedSizeExact pins EncodedSize, which presizes Encode and
-// splits the matcher's DeliverBatch frames, to the bytes actually written,
-// traced and untraced, across payload and ID-list lengths.
+// splits the matcher's DeliverBatch frames, to the bytes actually written by
+// the deliver body and the three batch bodies, traced and untraced, across
+// payload and ID-list lengths; Encode is one exact-size allocation.
 func TestDeliverEncodedSizeExact(t *testing.T) {
+	type sized interface {
+		Encode() []byte
+		EncodedSize() int
+	}
+	type tc struct {
+		name string
+		body sized
+	}
+	var cases []tc
+	add := func(b sized, format string, args ...any) {
+		cases = append(cases, tc{fmt.Sprintf(format, args...), b})
+	}
 	for _, traced := range []bool{false, true} {
 		for _, payload := range []int{0, 64} {
 			for _, n := range []int{0, 1, 200} {
@@ -103,10 +117,35 @@ func TestDeliverEncodedSizeExact(t *testing.T) {
 					m.Trace = &core.TraceCtx{ID: 3, Dispatcher: 1, Matcher: 2, Dim: 1}
 				}
 				d := DeliverBody{Subscriber: 7, Msg: m, SubIDs: make([]core.SubscriptionID, n)}
-				if got := len(d.Encode()); got != d.EncodedSize() {
-					t.Errorf("traced=%v payload=%d ids=%d: EncodedSize %d, Encode wrote %d", traced, payload, n, d.EncodedSize(), got)
+				add(&d, "deliver traced=%v payload=%d ids=%d", traced, payload, n)
+				add(&DeliverBatchBody{Deliveries: []DeliverBody{d, d}},
+					"deliver-batch traced=%v payload=%d ids=%d", traced, payload, n)
+				fwd := &ForwardBatchBody{}
+				ack := &ForwardAckBatchBody{}
+				for i := 0; i < n; i++ {
+					fwd.Entries = append(fwd.Entries, ForwardEntry{Dim: i % 4, Msg: m})
+					ack.IDs = append(ack.IDs, core.MessageID(i))
+					if traced {
+						ack.Traces = append(ack.Traces, AckTrace{Msg: core.MessageID(i), Ctx: *m.Trace})
+					}
 				}
+				add(fwd, "forward-batch traced=%v payload=%d entries=%d", traced, payload, n)
+				add(ack, "ack-batch traced=%v ids=%d", traced, n)
 			}
+		}
+	}
+	add(&ForwardAckBatchBody{Busy: []BusyEntry{{ID: 4, Dim: 1, QueueLen: 9}}}, "ack-batch one busy")
+	add(&ForwardAckBatchBody{IDs: []core.MessageID{1, 2}, Busy: []BusyEntry{{ID: 4}, {ID: 5, Dim: 3, QueueLen: 1 << 20}}},
+		"ack-batch ids and busy")
+	for _, c := range cases {
+		if got := len(c.body.Encode()); got != c.body.EncodedSize() {
+			t.Errorf("%s: EncodedSize %d, Encode wrote %d", c.name, c.body.EncodedSize(), got)
+		}
+		if raceEnabled {
+			continue // race instrumentation allocates
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = c.body.Encode() }); allocs != 1 {
+			t.Errorf("%s: Encode made %.0f allocations, want 1", c.name, allocs)
 		}
 	}
 }

@@ -25,8 +25,9 @@ const (
 	// KindForward carries a publication from a dispatcher to a matcher,
 	// marked with the dimension set to search.
 	KindForward
-	// KindDeliver carries a matched publication to a subscriber.
-	KindDeliver
+	// Kind 7 is retired (matchers deliver in KindDeliverBatch frames); the
+	// blank keeps every later kind's number.
+	_
 	// KindLoadReport carries a matcher's per-dimension (subs, q, λ, μ).
 	KindLoadReport
 	// KindTableRequest asks a matcher for its segment table.
@@ -50,14 +51,13 @@ func (k Kind) String() string {
 	names := map[Kind]string{
 		KindSubscribe: "subscribe", KindSubscribeAck: "subscribe-ack",
 		KindStore: "store", KindUnsubscribe: "unsubscribe",
-		KindPublish: "publish", KindForward: "forward", KindDeliver: "deliver",
+		KindPublish: "publish", KindForward: "forward",
 		KindLoadReport: "load-report", KindTableRequest: "table-request",
 		KindTableResponse: "table-response", KindGossip: "gossip",
 		KindTransfer: "transfer", KindPoll: "poll",
 		KindPollResponse: "poll-response", KindError: "error",
 		KindForwardBatch: "forward-batch", KindDeliverBatch: "deliver-batch",
-		KindForwardAckBatch: "forward-ack-batch",
-		KindBusy:            "busy", KindPublishReq: "publish-req",
+		KindForwardAckBatch: "forward-ack-batch", KindPublishReq: "publish-req",
 		KindPublishAck: "publish-ack", KindTransferRange: "transfer-range",
 		KindSessionHello: "session-hello", KindSessionWelcome: "session-welcome",
 		KindSessionSub: "session-sub", KindSessionSubAck: "session-sub-ack",

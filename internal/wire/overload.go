@@ -3,62 +3,30 @@ package wire
 import "bluedove/internal/core"
 
 // Overload-control frame kinds. A matcher whose SEDA stage queue is full
-// replies with a compact KindBusy NACK instead of dropping the forward
-// silently, so the dispatcher can immediately re-route the publication to
-// the next-best candidate. Clients that want edge admission control publish
-// with KindPublishReq (request/response) and receive either KindPublishAck
-// or KindError with OverloadedPrefix.
+// lists the rejected publication as a BusyEntry in a KindForwardAckBatch
+// instead of dropping the forward silently, so the dispatcher can
+// immediately re-route it to the next-best candidate. Clients that want edge
+// admission control publish with KindPublishReq (request/response) and
+// receive either KindPublishAck or KindError with OverloadedPrefix.
+//
+// Kind 71 is retired; the values below are pinned so no kind is renumbered.
 const (
-	// KindBusy tells a dispatcher one forwarded publication was rejected
-	// by a full matcher stage (matcher → dispatcher).
-	KindBusy Kind = 71 + iota
 	// KindPublishReq carries a client publication that expects an explicit
 	// accept/reject response (client → dispatcher).
-	KindPublishReq
+	KindPublishReq Kind = 72
 	// KindPublishAck confirms an admitted publication (dispatcher → client).
-	KindPublishAck
+	KindPublishAck Kind = 73
 )
 
 // OverloadedPrefix starts the ErrorBody text when a dispatcher rejects a
 // publication at admission control. Clients map it to a typed error.
 const OverloadedPrefix = "overloaded: "
 
-// BusyBody is the per-message busy NACK: the rejected publication, the
-// dimension whose stage was full, and the stage's backlog at rejection time
-// (items, weighted by batch size) so the dispatcher's load view can be
-// corrected without waiting for the next load report.
-type BusyBody struct {
-	ID       core.MessageID
-	Dim      int
-	QueueLen int
-}
-
-// AppendTo serializes the body into buf (which may be a pooled scratch
-// buffer) and returns the extended slice.
-func (b *BusyBody) AppendTo(buf []byte) []byte {
-	w := writer{buf: buf}
-	w.u64(uint64(b.ID))
-	w.u16(uint16(b.Dim))
-	w.u32(uint32(b.QueueLen))
-	return w.buf
-}
-
-// Encode serializes the body.
-func (b *BusyBody) Encode() []byte { return b.AppendTo(nil) }
-
-// DecodeBusy parses a BusyBody.
-func DecodeBusy(data []byte) (*BusyBody, error) {
-	r := reader{buf: data}
-	b := &BusyBody{
-		ID:       core.MessageID(r.u64()),
-		Dim:      int(r.u16()),
-		QueueLen: int(r.u32()),
-	}
-	return b, r.finish()
-}
-
-// BusyEntry is one rejected item inside a ForwardAckBatchBody: per-item
-// busy accounting for batches that straddle a full queue.
+// BusyEntry is one forwarded publication a full matcher stage rejected,
+// listed in a ForwardAckBatchBody: the publication, the dimension whose
+// stage was full, and the stage's backlog at rejection time (weighted by
+// batch size) so the dispatcher's load view can be corrected without
+// waiting for the next load report.
 type BusyEntry struct {
 	ID       core.MessageID
 	Dim      int

@@ -7,27 +7,6 @@ import (
 	"bluedove/internal/core"
 )
 
-func TestBusyRoundTrip(t *testing.T) {
-	in := &BusyBody{ID: 1<<40 + 7, Dim: 3, QueueLen: 128}
-	out, err := DecodeBusy(in.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *out != *in {
-		t.Fatalf("round trip: got %+v, want %+v", out, in)
-	}
-}
-
-func TestBusyRejectsTrailingBytes(t *testing.T) {
-	data := append((&BusyBody{ID: 9, Dim: 1, QueueLen: 4}).Encode(), 0xAA)
-	if _, err := DecodeBusy(data); err == nil {
-		t.Fatal("decoder accepted a busy body with trailing garbage")
-	}
-	if _, err := DecodeBusy([]byte{1, 2, 3}); err == nil {
-		t.Fatal("decoder accepted a truncated busy body")
-	}
-}
-
 func TestPublishAckRoundTrip(t *testing.T) {
 	in := &PublishAckBody{ID: 424242}
 	out, err := DecodePublishAck(in.Encode())
@@ -78,11 +57,12 @@ func TestForwardAckBatchBusyCountGuard(t *testing.T) {
 	}
 }
 
-// TestBusyEncodeZeroAlloc: the busy NACK is sent from the matcher's receive
-// path while it is already overloaded — encoding into a pooled buffer must
-// not add heap allocations to that path.
+// TestBusyEncodeZeroAlloc: a matcher answers a forward its full stage
+// rejected with a ForwardAckBatch holding one Busy entry, sent from its
+// receive path while it is already overloaded — encoding that reply into a
+// pooled buffer must not add heap allocations to that path.
 func TestBusyEncodeZeroAlloc(t *testing.T) {
-	body := &BusyBody{ID: 77, Dim: 2, QueueLen: 4}
+	body := &ForwardAckBatchBody{Busy: []BusyEntry{{ID: 77, Dim: 2, QueueLen: 4}}}
 	// A preallocated scratch slice rather than the frame pool: sync.Pool
 	// randomly drops items under the race detector, which would count as an
 	// allocation here without saying anything about the encoder.
@@ -91,23 +71,6 @@ func TestBusyEncodeZeroAlloc(t *testing.T) {
 		buf = body.AppendTo(buf[:0])
 	})
 	if allocs != 0 {
-		t.Fatalf("busy NACK encode: %.1f allocs/frame, want 0", allocs)
+		t.Fatalf("busy reply encode: %.1f allocs/frame, want 0", allocs)
 	}
-}
-
-func FuzzDecodeBusy(f *testing.F) {
-	f.Add((&BusyBody{ID: 7, Dim: 2, QueueLen: 64}).Encode())
-	f.Add((&BusyBody{}).Encode())
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBusy(data)
-		if err != nil {
-			return
-		}
-		// A valid decode must re-encode to exactly the bytes consumed.
-		if out := b.Encode(); string(out) != string(data) {
-			t.Fatalf("re-encode mismatch: %x vs %x", out, data)
-		}
-	})
 }

@@ -199,6 +199,29 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestKindNumbers pins every kind's value: a kind is its number on the wire,
+// so renumbering one breaks nodes running the previous build.
+func TestKindNumbers(t *testing.T) {
+	for k, want := range map[Kind]uint8{
+		KindSubscribe: 1, KindSubscribeAck: 2, KindStore: 3, KindUnsubscribe: 4,
+		KindPublish: 5, KindForward: 6, KindLoadReport: 8, KindTableRequest: 9,
+		KindTableResponse: 10, KindGossip: 11, KindTransfer: 12, KindPoll: 13,
+		KindPollResponse: 14, KindError: 15,
+		KindJoin: 64, KindJoinAck: 65, KindHandover: 66, KindForwardAck: 67,
+		KindForwardBatch: 68, KindDeliverBatch: 69, KindForwardAckBatch: 70,
+		KindPublishReq: 72, KindPublishAck: 73, KindTransferRange: 74,
+		KindSessionHello: 80, KindSessionWelcome: 81, KindSessionSub: 82,
+		KindSessionSubAck: 83, KindSessionUnsub: 84, KindEdgeDeliver: 85,
+		KindSessionAck: 86, KindSessionClose: 87,
+		KindSummaryRequest: 90, KindSummaryResponse: 91, KindSummaryAnnounce: 92,
+		KindSummaryDelta: 93, KindFedPublish: 94, KindFedAck: 95,
+	} {
+		if uint8(k) != want {
+			t.Errorf("%v = %d, want %d", k, uint8(k), want)
+		}
+	}
+}
+
 func TestFrameRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	env := &Envelope{Kind: KindForward, From: 12, Body: []byte("hello")}
@@ -277,6 +300,7 @@ func TestDecodersRejectTruncation(t *testing.T) {
 			Subs: []*core.Subscription{sampleSub()}}).Encode(),
 		"handover": (&HandoverBody{Dim: 1, Low: 3, High: 4, TargetAddr: "x", TransferID: 9}).Encode(),
 		"pollresp": (&PollResponseBody{Deliveries: []DeliverBody{{Msg: sampleMsg()}}}).Encode(),
+		"busy":     (&ForwardAckBatchBody{Busy: []BusyEntry{{ID: 9, Dim: 1, QueueLen: 4}}}).Encode(),
 	}
 	decoders := map[string]func([]byte) error{
 		"subscribe":      func(b []byte) error { _, err := DecodeSubscribe(b); return err },
@@ -289,6 +313,7 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		"transfer-range": func(b []byte) error { _, err := DecodeTransferRange(b); return err },
 		"handover":       func(b []byte) error { _, err := DecodeHandover(b); return err },
 		"pollresp":       func(b []byte) error { _, err := DecodePollResponse(b); return err },
+		"busy":           func(b []byte) error { _, err := DecodeForwardAckBatch(b); return err },
 	}
 	for name, body := range bodies {
 		dec := decoders[name]
