@@ -8,13 +8,13 @@ import (
 	"bluedove/internal/core"
 )
 
-// TestBatchingEndToEnd drives a batching cluster (ForwardLinger on, several
-// concurrent publishers, direct and indirect subscribers) and checks that
-// every matching publication is delivered exactly as in the unbatched mode.
-// Run under -race this also exercises the batcher/flusher concurrency.
+// TestBatchingEndToEnd drives a cluster with several concurrent publishers
+// and direct and indirect subscribers, and checks that every matching
+// publication is delivered and that the dispatchers' forward batchers
+// coalesced. Run under -race this also exercises the batcher/flusher
+// concurrency.
 func TestBatchingEndToEnd(t *testing.T) {
 	opts := fastOptions(4)
-	opts.ForwardLinger = time.Millisecond
 	opts.Persistent = true // batch acks must clear inflight state
 	c, err := Start(opts)
 	if err != nil {

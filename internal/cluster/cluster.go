@@ -77,13 +77,9 @@ type Options struct {
 	FailPolicy store.FailPolicy
 	// RetryInterval is the persistence retransmit timeout (default 2s).
 	RetryInterval time.Duration
-	// ForwardLinger, when positive, enables publication batching on every
-	// dispatcher's forward path (see dispatcher.Config.ForwardLinger). Zero
-	// keeps the unbatched message-per-frame behavior.
+	// Deprecated: has no effect; dispatchers always batch forwards per
+	// matcher and flush as soon as the flusher is free.
 	ForwardLinger time.Duration
-	// ForwardBatchCount tunes the batch flush threshold (default 64
-	// messages; meaningful only with ForwardLinger > 0).
-	ForwardBatchCount int
 	// MatcherQueueDepth bounds each matcher's per-dimension stage queue
 	// (matcher.Config.QueueDepth). Forwards arriving at a full stage are
 	// rejected with a busy NACK; 0 keeps the matcher's default depth.
@@ -98,9 +94,8 @@ type Options struct {
 	BreakerThreshold int
 	AdmissionLimit   int
 	MessageTTL       time.Duration
-	// TCPFlushInterval, when positive on a TCP cluster, enables transport
-	// write coalescing on every node; only its sign matters, since the
-	// flusher writes as soon as it is free (see transport.TCP.FlushInterval).
+	// Deprecated: has no effect; TCP always coalesces writes and flushes
+	// as soon as the flusher is free.
 	TCPFlushInterval time.Duration
 	// Chaos, when non-nil, wraps every node's transport in the
 	// fault-injection controller: scheduled drops, delays, duplicates,
@@ -205,7 +200,7 @@ func (o *Options) Validate() error {
 	// Optional durations where zero means "default/disabled": a negative
 	// value must not arm a negative timer downstream.
 	for _, d := range []*time.Duration{
-		&o.RerouteBackoff, &o.MessageTTL, &o.ForwardLinger, &o.TCPFlushInterval,
+		&o.RerouteBackoff, &o.MessageTTL,
 	} {
 		if *d < 0 {
 			*d = 0
@@ -215,8 +210,7 @@ func (o *Options) Validate() error {
 	// with meaningful negative values (RetryBudget, BreakerThreshold:
 	// negative disables the feature) are deliberately left alone.
 	for _, n := range []*int{
-		&o.MatcherQueueDepth,
-		&o.ForwardBatchCount, &o.AdmissionLimit, &o.EdgeBufferBytes,
+		&o.MatcherQueueDepth, &o.AdmissionLimit, &o.EdgeBufferBytes,
 		&o.ResumeWindow, &o.Edges,
 	} {
 		if *n < 0 {
@@ -410,7 +404,6 @@ func (c *Cluster) newTransport(label string) (transport.Transport, *transport.TC
 	var tcp *transport.TCP
 	if c.opts.TCP {
 		t := transport.NewTCP()
-		t.FlushInterval = c.opts.TCPFlushInterval
 		tr, tcp = t, t
 	} else {
 		tr = c.mesh.Endpoint(label)
@@ -558,32 +551,30 @@ func (c *Cluster) startDispatcher(id core.NodeID) (*dispatcher.Dispatcher, error
 		return nil, err
 	}
 	d, err := dispatcher.New(dispatcher.Config{
-		ID:                id,
-		Addr:              c.nodeAddr(label),
-		Space:             c.opts.Space,
-		Transport:         tr,
-		Seeds:             c.seeds,
-		Strategy:          c.opts.Strategy,
-		Policy:            c.opts.Policy,
-		GossipInterval:    c.opts.GossipInterval,
-		FailAfter:         c.opts.FailAfter,
-		RecoveryDelay:     c.opts.RecoveryDelay,
-		Persistent:        c.opts.Persistent,
-		RetryInterval:     c.opts.RetryInterval,
-		RetryBudget:       c.opts.RetryBudget,
-		RerouteBackoff:    c.opts.RerouteBackoff,
-		BreakerThreshold:  c.opts.BreakerThreshold,
-		AdmissionLimit:    c.opts.AdmissionLimit,
-		MessageTTL:        c.opts.MessageTTL,
-		ForwardLinger:     c.opts.ForwardLinger,
-		ForwardBatchCount: c.opts.ForwardBatchCount,
-		Generation:        c.generation(id),
-		DataDir:           c.nodeDataDir(label),
-		Fsync:             c.opts.Fsync,
-		FS:                c.diskFS(label),
-		FailPolicy:        c.opts.FailPolicy,
-		OnStoreFailure:    c.onDispatcherStoreFailure(id),
-		Telemetry:         tel,
+		ID:               id,
+		Addr:             c.nodeAddr(label),
+		Space:            c.opts.Space,
+		Transport:        tr,
+		Seeds:            c.seeds,
+		Strategy:         c.opts.Strategy,
+		Policy:           c.opts.Policy,
+		GossipInterval:   c.opts.GossipInterval,
+		FailAfter:        c.opts.FailAfter,
+		RecoveryDelay:    c.opts.RecoveryDelay,
+		Persistent:       c.opts.Persistent,
+		RetryInterval:    c.opts.RetryInterval,
+		RetryBudget:      c.opts.RetryBudget,
+		RerouteBackoff:   c.opts.RerouteBackoff,
+		BreakerThreshold: c.opts.BreakerThreshold,
+		AdmissionLimit:   c.opts.AdmissionLimit,
+		MessageTTL:       c.opts.MessageTTL,
+		Generation:       c.generation(id),
+		DataDir:          c.nodeDataDir(label),
+		Fsync:            c.opts.Fsync,
+		FS:               c.diskFS(label),
+		FailPolicy:       c.opts.FailPolicy,
+		OnStoreFailure:   c.onDispatcherStoreFailure(id),
+		Telemetry:        tel,
 	})
 	if err != nil {
 		return nil, err

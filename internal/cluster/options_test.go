@@ -49,7 +49,6 @@ func TestValidateClamps(t *testing.T) {
 				PruneGrace:     -time.Hour,
 				RerouteBackoff: -time.Second,
 				MessageTTL:     -1,
-				ForwardLinger:  -time.Millisecond,
 			},
 			check: func(t *testing.T, o Options) {
 				for name, d := range map[string]time.Duration{
@@ -58,7 +57,6 @@ func TestValidateClamps(t *testing.T) {
 					"PruneGrace":     o.PruneGrace,
 					"RerouteBackoff": o.RerouteBackoff,
 					"MessageTTL":     o.MessageTTL,
-					"ForwardLinger":  o.ForwardLinger,
 				} {
 					if d != 0 {
 						t.Errorf("%s = %v, want 0 (unset)", name, d)
@@ -71,7 +69,6 @@ func TestValidateClamps(t *testing.T) {
 			in: Options{
 				Space:             space,
 				MatcherQueueDepth: -1,
-				ForwardBatchCount: -10,
 				EdgeBufferBytes:   -1,
 				ResumeWindow:      -100,
 				AdmissionLimit:    -5,
@@ -79,7 +76,6 @@ func TestValidateClamps(t *testing.T) {
 			check: func(t *testing.T, o Options) {
 				for name, n := range map[string]int{
 					"MatcherQueueDepth": o.MatcherQueueDepth,
-					"ForwardBatchCount": o.ForwardBatchCount,
 					"EdgeBufferBytes":   o.EdgeBufferBytes,
 					"ResumeWindow":      o.ResumeWindow,
 					"AdmissionLimit":    o.AdmissionLimit,

@@ -70,22 +70,9 @@ type Config struct {
 	// MaxInflight bounds retained unacked messages; beyond it new messages
 	// fall back to best-effort forwarding (default 65536).
 	MaxInflight int
-	// ForwardLinger, when positive, enables publication batching on the
-	// forward path: publications headed to the same matcher are coalesced
-	// into ForwardBatch frames, flushed when a batch reaches
-	// ForwardBatchCount messages or ForwardBatchBytes encoded bytes, or at
-	// the latest after this interval (~1ms is a good starting point). Zero
-	// (the default) forwards every publication in its own frame immediately,
-	// preserving the unbatched latency profile. With batching on, transport
-	// errors surface at flush time, after forwardOnce has reported success;
-	// enable Persistent when that delivery gap matters.
+	// Deprecated: has no effect; forwards are always batched per matcher
+	// and flushed as soon as the flusher is free.
 	ForwardLinger time.Duration
-	// ForwardBatchCount flushes a destination's batch at this many messages
-	// (default 64; only meaningful with ForwardLinger > 0).
-	ForwardBatchCount int
-	// ForwardBatchBytes flushes a destination's batch at this encoded size
-	// (default 256 KiB; only meaningful with ForwardLinger > 0).
-	ForwardBatchBytes int
 	// RetryBudget bounds busy/unreachable re-routes per publication: on a
 	// busy NACK the dispatcher immediately retries the message at the
 	// next-best candidate from the policy ranking (one extra hop, no timer
@@ -187,12 +174,6 @@ func (c *Config) defaults() error {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 65536
 	}
-	if c.ForwardBatchCount <= 0 {
-		c.ForwardBatchCount = 64
-	}
-	if c.ForwardBatchBytes <= 0 {
-		c.ForwardBatchBytes = 256 << 10
-	}
 	if c.RetryBudget == 0 {
 		c.RetryBudget = 2
 	}
@@ -256,8 +237,7 @@ type Dispatcher struct {
 	// stopping guards wg.Add from handler goroutines racing Stop's Wait.
 	stopping bool
 
-	// batcher coalesces forwards per destination (nil when ForwardLinger
-	// is zero — the unbatched default).
+	// batcher coalesces forwards per destination matcher.
 	batcher *forwardBatcher
 
 	// jnl is the durable state journal (nil on in-memory nodes).
@@ -274,19 +254,20 @@ type Dispatcher struct {
 	Published metrics.Counter
 	// Forwarded counts publications sent to a matcher.
 	Forwarded metrics.Counter
-	// DroppedNoCandidate counts publications with no alive candidate.
+	// DroppedNoCandidate counts publications with no alive candidate, and
+	// untracked ones whose forward frame could not be sent.
 	DroppedNoCandidate metrics.Counter
 	// PullBytes counts table-pull response traffic.
 	PullBytes metrics.Counter
 	// Retransmits counts persistence re-forwards of unacked messages.
 	Retransmits metrics.Counter
-	// ForwardBatches counts ForwardBatch frames sent (batching enabled);
-	// Forwarded / ForwardBatches is the achieved amortization factor.
+	// ForwardBatches counts ForwardBatch frames sent; Forwarded /
+	// ForwardBatches is the achieved amortization factor.
 	ForwardBatches metrics.Counter
 	// BusyReceived counts busy NACKs received from matchers.
 	BusyReceived metrics.Counter
 	// Rerouted counts publications re-forwarded to an alternate candidate
-	// after a busy NACK.
+	// after a busy NACK or a failed send.
 	Rerouted metrics.Counter
 	// Overloaded counts publications rejected at admission control.
 	Overloaded metrics.Counter
@@ -342,6 +323,7 @@ func New(cfg Config) (*Dispatcher, error) {
 	if cfg.BreakerThreshold > 0 {
 		d.breaker = forward.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now)
 	}
+	d.batcher = newForwardBatcher(d)
 	return d, nil
 }
 
@@ -393,17 +375,13 @@ func (d *Dispatcher) Start() error {
 	if d.cfg.Telemetry != nil {
 		d.registerTelemetry()
 	}
-	d.wg.Add(2)
+	d.wg.Add(3)
 	go d.tableWatchLoop()
 	go d.tablePullLoop()
+	go d.flushLoop()
 	if d.cfg.Persistent {
 		d.wg.Add(1)
 		go d.retransmitLoop()
-	}
-	if d.cfg.ForwardLinger > 0 {
-		d.batcher = newForwardBatcher(d)
-		d.wg.Add(1)
-		go d.lingerLoop(d.cfg.ForwardLinger)
 	}
 	if !d.cfg.Persistent && d.cfg.RetryBudget > 0 {
 		d.wg.Add(1)
@@ -566,23 +544,6 @@ func (d *Dispatcher) handle(env *wire.Envelope) *wire.Envelope {
 		ds := d.queues.Poll(b.Subscriber, int(b.Max))
 		return &wire.Envelope{Kind: wire.KindPollResponse, From: d.cfg.ID,
 			Body: (&wire.PollResponseBody{Deliveries: ds}).Encode()}
-	// Matchers ack with ForwardAckBatch; only the benchmark's stub matcher sends this.
-	case wire.KindForwardAck:
-		if b, err := wire.DecodeForwardAck(env.Body); err == nil {
-			d.breaker.Success(env.From)
-			d.mu.Lock()
-			_, was := d.inflight[b.ID]
-			delete(d.inflight, b.ID)
-			delete(d.routes, b.ID)
-			d.mu.Unlock()
-			if was {
-				d.journalID(recAck, uint64(b.ID))
-			}
-			if d.cfg.Telemetry != nil && b.Trace != nil {
-				d.completeTrace(b.ID, b.Trace)
-			}
-		}
-		return nil
 	case wire.KindForwardAckBatch:
 		if b, err := wire.DecodeForwardAckBatch(env.Body); err == nil {
 			if len(b.IDs) > 0 {
@@ -815,9 +776,6 @@ func (d *Dispatcher) handlePublish(msg *core.Message, wantAck bool) *wire.Envelo
 		return d.publishAck(msg, wantAck)
 	}
 	if sent {
-		if d.cfg.RetryBudget > 0 {
-			d.trackRoute(msg, to)
-		}
 		return d.publishAck(msg, wantAck)
 	}
 	d.DroppedNoCandidate.Add(1)
@@ -836,8 +794,10 @@ func (d *Dispatcher) publishAck(msg *core.Message, wantAck bool) *wire.Envelope 
 		Body: (&wire.PublishAckBody{ID: msg.ID}).Encode()}
 }
 
-// forwardOnce sends msg to its best candidate not in skip, reporting
-// success and the chosen matcher.
+// forwardOnce hands msg to the batcher for its best candidate not in skip,
+// reporting success and the chosen matcher. All state an answer from the
+// matcher reads (the route entry, the pending count, the trace) is recorded
+// before the batcher can ship the frame.
 func (d *Dispatcher) forwardOnce(t *partition.Table, msg *core.Message,
 	skip map[core.NodeID]bool) (bool, core.NodeID) {
 	now := d.cfg.Now()
@@ -865,18 +825,12 @@ func (d *Dispatcher) forwardOnce(t *partition.Table, msg *core.Message,
 			msg.Trace.Dim = c.Dim
 			msg.Trace.Stamp(core.HopForward, now)
 		}
-		if d.batcher != nil {
-			d.batcher.add(c.Node, addr, c.Dim, msg)
-		} else {
-			body := (&wire.ForwardBody{Dim: c.Dim, Msg: msg}).Encode()
-			if d.cfg.Transport.Send(addr, &wire.Envelope{Kind: wire.KindForward, From: d.cfg.ID, Body: body}) != nil {
-				// Unreachable: feed the breaker and fall through to the
-				// next-best candidate immediately.
-				d.breaker.Failure(c.Node)
-				continue
-			}
-		}
 		d.mu.Lock()
+		if skip == nil && !d.cfg.Persistent && d.cfg.RetryBudget > 0 {
+			// First forward: a busy NACK or a failed send must find the
+			// route entry, however early it comes back.
+			d.trackRouteLocked(msg, c.Node, now)
+		}
 		p, ok := d.pending[c.Node]
 		if !ok || len(p) != d.cfg.Space.K() {
 			p = make([]int, d.cfg.Space.K())
@@ -886,12 +840,13 @@ func (d *Dispatcher) forwardOnce(t *partition.Table, msg *core.Message,
 			p[c.Dim]++
 		}
 		d.mu.Unlock()
-		d.Forwarded.Add(1)
 		if msg.Trace != nil && skip == nil {
 			if tel := d.cfg.Telemetry; tel != nil {
 				tel.Tracer.Await(msg.ID, msg.Trace, now)
 			}
 		}
+		d.batcher.add(c.Node, addr, c.Dim, msg)
+		d.Forwarded.Add(1)
 		return true, c.Node
 	}
 	return false, 0

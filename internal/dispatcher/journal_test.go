@@ -115,6 +115,6 @@ func TestJournalRestartRestoresRegistryAndInflight(t *testing.T) {
 
 	// The recovered pending publication is retransmitted (zero deadline,
 	// first retry tick).
-	before := len(h.received("m1", wire.KindForward))
-	waitFor(t, func() bool { return len(h.received("m1", wire.KindForward)) > before })
+	before := len(h.batchEntries(t, "m1"))
+	waitFor(t, func() bool { return len(h.batchEntries(t, "m1")) > before })
 }

@@ -226,26 +226,18 @@ func TestRetransmitOnMissingAck(t *testing.T) {
 	}
 	// No ack arrives: the dispatcher must retransmit to the other matcher.
 	waitFor(t, func() bool {
-		return len(h.received("m1", wire.KindForward))+len(h.received("m2", wire.KindForward)) >= 2
+		return len(h.batchEntries(t, "m1"))+len(h.batchEntries(t, "m2")) >= 2
 	})
 	if h.d.Retransmits.Value() == 0 {
 		t.Fatal("no retransmission recorded")
 	}
-	if len(h.received("m1", wire.KindForward)) == 0 || len(h.received("m2", wire.KindForward)) == 0 {
+	m1, m2 := h.batchEntries(t, "m1"), h.batchEntries(t, "m2")
+	if len(m1) == 0 || len(m2) == 0 {
 		t.Fatal("retransmission reused the same matcher")
 	}
 	// An ack clears the inflight entry and stops retransmission.
-	var fw *wire.Envelope
-	if es := h.received("m1", wire.KindForward); len(es) > 0 {
-		fw = es[0]
-	} else {
-		fw = h.received("m2", wire.KindForward)[0]
-	}
-	body, err := wire.DecodeForward(fw.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.send(t, wire.KindForwardAck, 1, (&wire.ForwardAckBody{ID: body.Msg.ID}).Encode())
+	id := m1[0].Msg.ID
+	h.send(t, wire.KindForwardAckBatch, 1, (&wire.ForwardAckBatchBody{IDs: []core.MessageID{id}}).Encode())
 	waitFor(t, func() bool { return h.d.InflightLen() == 0 })
 }
 
@@ -296,23 +288,33 @@ func newHarnessPersistent(t *testing.T, matcherAddrs ...string) *harness {
 	return h
 }
 
-// earlyAckTransport delivers the matcher's ForwardAck synchronously, inside
-// the Send that carries the forward: the tightest ack/track interleaving a
-// real transport can produce.
+// earlyAckTransport has matcher 1 (m1) answer each ForwardBatch frame
+// synchronously, inside the Send that carries it: the tightest answer/track
+// interleaving a real transport can produce. The answer acks every entry,
+// or with busy set NACKs every entry.
 type earlyAckTransport struct {
 	transport.Transport
-	ack func(*wire.Envelope) *wire.Envelope
+	ack  func(*wire.Envelope) *wire.Envelope
+	busy bool
 }
 
 func (e *earlyAckTransport) Send(addr string, env *wire.Envelope) error {
 	if err := e.Transport.Send(addr, env); err != nil {
 		return err
 	}
-	if env.Kind == wire.KindForward {
-		if b, err := wire.DecodeForward(env.Body); err == nil {
-			e.ack(&wire.Envelope{Kind: wire.KindForwardAck, From: 1,
-				Body: (&wire.ForwardAckBody{ID: b.Msg.ID}).Encode()})
+	if addr != "m1" || env.Kind != wire.KindForwardBatch {
+		return nil
+	}
+	if b, err := wire.DecodeForwardBatch(env.Body); err == nil {
+		ack := wire.ForwardAckBatchBody{}
+		for _, fe := range b.Entries {
+			if e.busy {
+				ack.Busy = append(ack.Busy, wire.BusyEntry{ID: fe.Msg.ID, Dim: fe.Dim, QueueLen: 99})
+			} else {
+				ack.IDs = append(ack.IDs, fe.Msg.ID)
+			}
 		}
+		e.ack(&wire.Envelope{Kind: wire.KindForwardAckBatch, From: 1, Body: ack.Encode()})
 	}
 	return nil
 }
@@ -342,7 +344,7 @@ func TestEarlyAckSettlesInflight(t *testing.T) {
 	if n := h.d.Retransmits.Value(); n != 0 {
 		t.Fatalf("%d retransmits of an already-acked publication", n)
 	}
-	if n := len(h.received("m1", wire.KindForward)); n != 1 {
+	if n := len(h.batchEntries(t, "m1")); n != 1 {
 		t.Fatalf("matcher saw %d forwards, want 1", n)
 	}
 }

@@ -18,16 +18,18 @@ import (
 // destination; requests use short-lived connections so responses need no
 // correlation IDs (table pulls and subscribes are rare compared to
 // forwarding traffic).
+//
+// One-way writes are coalesced by group commit: Send buffers the frame in
+// the connection's bufio.Writer and wakes a background flusher, which
+// flushes the connections dirtied since its last pass as soon as it is
+// free. An idle path pays one goroutine hand-off, and frames sent while a
+// pass is writing leave together in the next one, one syscall per
+// destination.
 type TCP struct {
 	// DialTimeout bounds connection establishment (default 2s).
 	DialTimeout time.Duration
-	// FlushInterval, when positive, enables write coalescing; only its sign
-	// matters. Send buffers frames in each connection's bufio.Writer and
-	// wakes a background flusher, which flushes the connections dirtied
-	// since its last pass as soon as it is free: an idle path pays one
-	// goroutine hand-off, and frames sent while a pass is writing leave
-	// together in the next one, one syscall per destination. Zero (the
-	// default) flushes every frame inline. Set before the first Send.
+	// Deprecated: has no effect; writes are always coalesced and flushed
+	// as soon as the flusher is free.
 	FlushInterval time.Duration
 	// IdleTimeout, when positive, closes accepted server-side connections
 	// that deliver no frame for this long — without it a dead peer pins its
@@ -195,20 +197,17 @@ func (t *TCP) getSendConn(addr string) (*sendConn, error) {
 }
 
 // Send implements Transport with one redial retry on a stale pooled
-// connection. With FlushInterval > 0 the frame is left in the connection's
-// write buffer for the background flusher; otherwise it is flushed inline.
+// connection. The frame is left in the connection's write buffer for the
+// background flusher.
 func (t *TCP) Send(addr string, env *wire.Envelope) error {
-	coalesce := t.FlushInterval > 0
-	if coalesce {
-		t.flusherOnce.Do(func() {
-			t.mu.Lock()
-			if !t.closed {
-				t.wg.Add(1)
-				go t.flushLoop()
-			}
-			t.mu.Unlock()
-		})
-	}
+	t.flusherOnce.Do(func() {
+		t.mu.Lock()
+		if !t.closed {
+			t.wg.Add(1)
+			go t.flushLoop()
+		}
+		t.mu.Unlock()
+	})
 	for attempt := 0; attempt < 2; attempt++ {
 		sc, err := t.getSendConn(addr)
 		if err != nil {
@@ -219,15 +218,7 @@ func (t *TCP) Send(addr string, env *wire.Envelope) error {
 			sc.mu.Unlock()
 			continue
 		}
-		dirtied := false
-		if coalesce {
-			err = wire.WriteFrameBuffered(sc.bw, env)
-			if err == nil && !sc.dirty {
-				sc.dirty, dirtied = true, true
-			}
-		} else {
-			err = wire.WriteFrame(sc.bw, env)
-		}
+		err = wire.WriteFrameBuffered(sc.bw, env)
 		if err != nil {
 			sc.conn.Close()
 			sc.conn = nil
@@ -235,6 +226,8 @@ func (t *TCP) Send(addr string, env *wire.Envelope) error {
 			sc.mu.Unlock()
 			continue
 		}
+		dirtied := !sc.dirty
+		sc.dirty = true
 		sc.mu.Unlock()
 		if dirtied {
 			t.markDirty(sc)

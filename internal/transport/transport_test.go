@@ -538,9 +538,9 @@ func BenchmarkMeshSend(b *testing.B) {
 	_ = fmt.Sprint(count.Load())
 }
 
-// TestTCPWriteCoalescing verifies that with FlushInterval set frames are
-// still all delivered (by the background flusher), and that a Close pushes
-// out any frames still buffered.
+// TestTCPWriteCoalescing verifies that coalesced frames are all delivered
+// (by the background flusher), and that a Close pushes out any frames still
+// buffered.
 func TestTCPWriteCoalescing(t *testing.T) {
 	server := NewTCP()
 	defer server.Close()
@@ -555,7 +555,6 @@ func TestTCPWriteCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := NewTCP()
-	client.FlushInterval = 2 * time.Millisecond
 	for i := 0; i < 200; i++ {
 		if err := client.Send(addr, &wire.Envelope{Kind: wire.KindForward, From: 1, Body: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
@@ -574,8 +573,8 @@ func TestTCPWriteCoalescing(t *testing.T) {
 	waitFor(t, func() bool { return got.Load() == 250 })
 }
 
-// TestTCPFlushOnIdle: with coalescing on, a lone frame leaves as soon as the
-// flusher is free; FlushInterval's value is never waited out.
+// TestTCPFlushOnIdle: a lone frame leaves as soon as the flusher is free,
+// with no timer to wait out.
 func TestTCPFlushOnIdle(t *testing.T) {
 	server := NewTCP()
 	defer server.Close()
@@ -588,7 +587,6 @@ func TestTCPFlushOnIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := NewTCP()
-	client.FlushInterval = time.Hour
 	defer client.Close()
 	if err := client.Send(addr, &wire.Envelope{Kind: wire.KindForward, From: 1, Body: []byte{1}}); err != nil {
 		t.Fatal(err)
@@ -631,7 +629,6 @@ func TestTCPCoalescingConcurrentSenders(t *testing.T) {
 	}
 
 	client := NewTCP()
-	client.FlushInterval = time.Hour
 	defer client.Close()
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
@@ -667,7 +664,7 @@ func TestTCPFlushPassAllocatesNothing(t *testing.T) {
 		defer conn.Close()
 		io.Copy(io.Discard, conn)
 	}()
-	tt := NewTCP() // FlushInterval 0: no flusher goroutine, the test runs the passes
+	tt := NewTCP() // no Send, so no flusher goroutine: the test runs the passes
 	defer tt.Close()
 	sc, err := tt.getSendConn(ln.Addr().String())
 	if err != nil {

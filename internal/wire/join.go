@@ -98,8 +98,9 @@ func DecodeHandover(data []byte) (*HandoverBody, error) {
 	return b, r.finish()
 }
 
-// KindForwardAck acknowledges a matched publication (matcher → dispatcher,
-// persistence extension): the dispatcher may drop its retransmit state.
+// KindForwardAck acknowledges one matched publication. Matchers ack with
+// KindForwardAckBatch and no dispatcher handles this kind; only the
+// benchmark's stub matcher still sends it.
 const KindForwardAck Kind = 67
 
 // ForwardAckBody acknowledges one forwarded message. Trace, when non-nil,

@@ -22,8 +22,10 @@ const (
 	KindUnsubscribe
 	// KindPublish carries a client publication to a dispatcher.
 	KindPublish
-	// KindForward carries a publication from a dispatcher to a matcher,
-	// marked with the dimension set to search.
+	// KindForward carries one publication to a matcher, marked with the
+	// dimension set to search. Dispatchers forward in KindForwardBatch
+	// frames; matchers still accept this kind, which the benchmark's matcher
+	// drill sends.
 	KindForward
 	// Kind 7 is retired (matchers deliver in KindDeliverBatch frames); the
 	// blank keeps every later kind's number.
