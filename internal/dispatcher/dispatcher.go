@@ -65,10 +65,12 @@ type Config struct {
 	// messages (duplicate deliveries are possible when an ack is lost).
 	Persistent bool
 	// RetryInterval is the retransmit timeout for unacked forwards
-	// (default 2s).
+	// (default 2s). Without Persistent, an unacked forward is forgotten
+	// after twice this.
 	RetryInterval time.Duration
-	// MaxInflight bounds retained unacked messages; beyond it new messages
-	// fall back to best-effort forwarding (default 65536).
+	// MaxInflight bounds the in-flight table, every tracked unacked forward;
+	// beyond it new publications are forwarded untracked, with neither
+	// re-routing nor retransmission (default 65536).
 	MaxInflight int
 	// Deprecated: has no effect; forwards are always batched per matcher
 	// and flushed as soon as the flusher is free.
@@ -95,10 +97,10 @@ type Config struct {
 	// the half-open probe (default 1s).
 	BreakerCooldown time.Duration
 	// AdmissionLimit bounds the dispatcher's tracked unacked publications
-	// (inflight + pending re-route state): beyond it, new publications are
-	// rejected at admission — publish-with-ack clients get a typed
+	// (the in-flight table, persistent or not): beyond it, new publications
+	// are rejected at admission — publish-with-ack clients get a typed
 	// overloaded error, fire-and-forget publishes are shed and counted —
-	// instead of growing the tables without bound. Zero disables admission
+	// instead of growing the table without bound. Zero disables admission
 	// control.
 	AdmissionLimit int
 	// MessageTTL stamps publications that carry no TTL of their own with
@@ -222,13 +224,11 @@ type Dispatcher struct {
 
 	queues *QueueStore
 
-	// inflight retains unacked forwards for retransmission (persistence).
+	// inflight tracks every unacked forward (Persistent, or RetryBudget > 0)
+	// so a busy NACK or a failed send can re-route it. Entries die on ack;
+	// at its deadline retransmitLoop retransmits a persistent entry and
+	// forgets a best-effort one.
 	inflight map[core.MessageID]*inflightMsg
-
-	// routes retains recent non-persistent forwards so a busy NACK can be
-	// re-routed to an alternate candidate (Persistent mode keeps the same
-	// state in inflight instead). Entries die on ack or expiry.
-	routes map[core.MessageID]*routeState
 
 	// breaker is the per-destination circuit breaker (nil when disabled; a
 	// nil breaker is always closed).
@@ -254,8 +254,11 @@ type Dispatcher struct {
 	Published metrics.Counter
 	// Forwarded counts publications sent to a matcher.
 	Forwarded metrics.Counter
-	// DroppedNoCandidate counts publications with no alive candidate, and
-	// untracked ones whose forward frame could not be sent.
+	// DroppedNoCandidate counts publications lost by the forward path: no
+	// alive candidate, an untracked one whose forward frame could not be
+	// sent, a best-effort one whose re-routes reached a dead end (budget
+	// spent or no untried candidate), and a persistent one given up after
+	// maxRetransmitAttempts.
 	DroppedNoCandidate metrics.Counter
 	// PullBytes counts table-pull response traffic.
 	PullBytes metrics.Counter
@@ -281,23 +284,13 @@ type Dispatcher struct {
 	e2eLatency *metrics.Histogram
 }
 
-// inflightMsg is one retained unacked publication.
+// inflightMsg is one tracked unacked forward.
 type inflightMsg struct {
 	msg      *core.Message
 	tried    map[core.NodeID]bool
-	deadline int64 // next retransmit time (ns)
+	deadline int64 // when retransmitLoop retransmits or forgets it (ns)
 	attempts int
 	reroutes int // busy re-routes consumed (bounded by RetryBudget)
-}
-
-// routeState is one recent non-persistent forward retained for busy
-// re-routing: the message, the candidates already tried, the re-routes
-// consumed, and when the entry may be swept.
-type routeState struct {
-	msg      *core.Message
-	tried    map[core.NodeID]bool
-	reroutes int
-	expires  int64
 }
 
 // New builds a dispatcher (not yet started).
@@ -312,7 +305,6 @@ func New(cfg Config) (*Dispatcher, error) {
 		health:     make(map[core.NodeID]store.Health),
 		registry:   make(map[core.SubscriptionID]regEntry),
 		inflight:   make(map[core.MessageID]*inflightMsg),
-		routes:     make(map[core.MessageID]*routeState),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		queues:     NewQueueStore(cfg.QueueCap),
 		stop:       make(chan struct{}),
@@ -379,13 +371,9 @@ func (d *Dispatcher) Start() error {
 	go d.tableWatchLoop()
 	go d.tablePullLoop()
 	go d.flushLoop()
-	if d.cfg.Persistent {
+	if d.cfg.Persistent || d.cfg.RetryBudget > 0 {
 		d.wg.Add(1)
 		go d.retransmitLoop()
-	}
-	if !d.cfg.Persistent && d.cfg.RetryBudget > 0 {
-		d.wg.Add(1)
-		go d.sweepRoutesLoop()
 	}
 	close(d.ready)
 	return nil
@@ -549,14 +537,16 @@ func (d *Dispatcher) handle(env *wire.Envelope) *wire.Envelope {
 			if len(b.IDs) > 0 {
 				d.breaker.Success(env.From)
 			}
+			// Only persistent entries are journaled, so only they need a
+			// tombstone.
+			journaled := d.cfg.Persistent && d.jnl != nil
 			var acked []core.MessageID
 			d.mu.Lock()
 			for _, id := range b.IDs {
-				delete(d.routes, id)
-				if _, was := d.inflight[id]; was {
-					delete(d.inflight, id)
+				if journaled && d.inflight[id] != nil {
 					acked = append(acked, id)
 				}
+				delete(d.inflight, id)
 			}
 			d.mu.Unlock()
 			for _, id := range acked {
@@ -696,7 +686,7 @@ func (d *Dispatcher) handlePublish(msg *core.Message, wantAck bool) *wire.Envelo
 	// them without limit under sustained overload.
 	if lim := d.cfg.AdmissionLimit; lim > 0 {
 		d.mu.Lock()
-		over := len(d.inflight)+len(d.routes) >= lim
+		over := len(d.inflight) >= lim
 		d.mu.Unlock()
 		if over {
 			d.Overloaded.Add(1)
@@ -720,16 +710,17 @@ func (d *Dispatcher) handlePublish(msg *core.Message, wantAck bool) *wire.Envelo
 		msg.ID = core.MessageID(uint64(d.cfg.ID)<<40 | d.nextMsg)
 	}
 	t := d.table
-	// Persistent mode registers the in-flight entry before the frame can
-	// leave: a ForwardAck racing back must find it, or the entry added
-	// afterwards would be retransmitted although already acked.
+	// The in-flight entry exists before the frame can leave: an ack, a busy
+	// NACK or a failed send racing back must find it. A persistent entry is
+	// due for retransmission after one retry interval; a best-effort one is
+	// forgotten after two.
 	var inf *inflightMsg
-	if d.cfg.Persistent && t != nil && len(d.inflight) < d.cfg.MaxInflight {
-		inf = &inflightMsg{
-			msg:      msg,
-			tried:    map[core.NodeID]bool{},
-			deadline: now + int64(d.cfg.RetryInterval),
+	if t != nil && (d.cfg.Persistent || d.cfg.RetryBudget > 0) && len(d.inflight) < d.cfg.MaxInflight {
+		deadline := now + int64(d.cfg.RetryInterval)
+		if !d.cfg.Persistent {
+			deadline += int64(d.cfg.RetryInterval)
 		}
+		inf = &inflightMsg{msg: msg, tried: map[core.NodeID]bool{}, deadline: deadline}
 		d.inflight[msg.ID] = inf
 	}
 	d.mu.Unlock()
@@ -755,18 +746,14 @@ func (d *Dispatcher) handlePublish(msg *core.Message, wantAck bool) *wire.Envelo
 		}
 		return nil
 	}
-	sent, to := d.forwardOnce(t, msg, nil)
+	sent := d.forwardOnce(t, msg, inf, nil)
 	if d.cfg.Persistent {
 		// Not sent: no candidate is reachable right now — e.g. every owner
 		// of this point just crashed. The publication is already accepted,
 		// so the entry stays with nothing tried: recovery reassigns the
 		// dead matcher's segments and the retransmit loop re-forwards to
 		// the new owners.
-		if sent && inf != nil {
-			d.mu.Lock()
-			inf.tried[to] = true
-			d.mu.Unlock()
-		}
+		//
 		// Journaled even past the inflight cap so the message-ID watermark
 		// survives a restart (the replay applies the same cap to the rebuilt
 		// table; only the counter always advances).
@@ -777,6 +764,11 @@ func (d *Dispatcher) handlePublish(msg *core.Message, wantAck bool) *wire.Envelo
 	}
 	if sent {
 		return d.publishAck(msg, wantAck)
+	}
+	if inf != nil {
+		d.mu.Lock()
+		delete(d.inflight, msg.ID)
+		d.mu.Unlock()
 	}
 	d.DroppedNoCandidate.Add(1)
 	if wantAck {
@@ -795,11 +787,12 @@ func (d *Dispatcher) publishAck(msg *core.Message, wantAck bool) *wire.Envelope 
 }
 
 // forwardOnce hands msg to the batcher for its best candidate not in skip,
-// reporting success and the chosen matcher. All state an answer from the
-// matcher reads (the route entry, the pending count, the trace) is recorded
-// before the batcher can ship the frame.
-func (d *Dispatcher) forwardOnce(t *partition.Table, msg *core.Message,
-	skip map[core.NodeID]bool) (bool, core.NodeID) {
+// reporting whether one took it. inf is msg's in-flight entry (nil when
+// untracked). All state an answer from the matcher reads (the candidate in
+// inf's tried set, the pending count, the trace) is recorded before the
+// batcher can ship the frame.
+func (d *Dispatcher) forwardOnce(t *partition.Table, msg *core.Message, inf *inflightMsg,
+	skip map[core.NodeID]bool) bool {
 	now := d.cfg.Now()
 	cands := d.cfg.Strategy.Candidates(t, msg)
 	ranked := d.cfg.Policy.Rank(now, cands, d)
@@ -826,10 +819,8 @@ func (d *Dispatcher) forwardOnce(t *partition.Table, msg *core.Message,
 			msg.Trace.Stamp(core.HopForward, now)
 		}
 		d.mu.Lock()
-		if skip == nil && !d.cfg.Persistent && d.cfg.RetryBudget > 0 {
-			// First forward: a busy NACK or a failed send must find the
-			// route entry, however early it comes back.
-			d.trackRouteLocked(msg, c.Node, now)
+		if inf != nil {
+			inf.tried[c.Node] = true
 		}
 		p, ok := d.pending[c.Node]
 		if !ok || len(p) != d.cfg.Space.K() {
@@ -847,12 +838,13 @@ func (d *Dispatcher) forwardOnce(t *partition.Table, msg *core.Message,
 		}
 		d.batcher.add(c.Node, addr, c.Dim, msg)
 		d.Forwarded.Add(1)
-		return true, c.Node
+		return true
 	}
-	return false, 0
+	return false
 }
 
-// retransmitLoop re-forwards unacked messages past their deadline.
+// retransmitLoop is the in-flight table's deadline loop: a due persistent
+// entry is retransmitted, a due best-effort one forgotten.
 func (d *Dispatcher) retransmitLoop() {
 	defer d.wg.Done()
 	// Half the retry interval keeps deadline overshoot under 50%; the clamp
@@ -879,49 +871,41 @@ const maxRetransmitAttempts = 20
 
 func (d *Dispatcher) retransmitDue() {
 	now := d.cfg.Now()
-	type dueMsg struct {
-		inf   *inflightMsg
-		tried map[core.NodeID]bool
-	}
+	var due, gaveUp []core.MessageID
 	d.mu.Lock()
-	t := d.table
-	var due []dueMsg
 	for id, inf := range d.inflight {
 		if inf.deadline > now {
+			continue
+		}
+		if !d.cfg.Persistent {
+			// Never re-sent: the matcher may have delivered it, and a
+			// best-effort publication must not gain duplicates.
+			delete(d.inflight, id)
 			continue
 		}
 		inf.attempts++
 		if inf.attempts > maxRetransmitAttempts {
 			delete(d.inflight, id)
+			gaveUp = append(gaveUp, id)
 			continue
 		}
 		inf.deadline = now + int64(d.cfg.RetryInterval)
-		// Snapshot tried under the lock: the busy-NACK handler mutates the
-		// live map concurrently (also under the lock).
-		due = append(due, dueMsg{inf: inf, tried: copyTried(inf.tried)})
+		due = append(due, id)
 	}
 	d.mu.Unlock()
-	if t == nil {
-		return
+	// Giving up loses an accepted publication: count it, and tombstone its
+	// pending record so a restart does not resurrect it.
+	d.DroppedNoCandidate.Add(int64(len(gaveUp)))
+	for _, id := range gaveUp {
+		d.journalID(recAck, uint64(id))
 	}
-	for _, dm := range due {
-		sent, to := d.forwardOnce(t, dm.inf.msg, dm.tried)
-		if !sent {
-			// Every candidate tried or unreachable: widen the net next
-			// round (membership may have changed).
-			d.mu.Lock()
-			dm.inf.tried = map[core.NodeID]bool{}
-			d.mu.Unlock()
-			continue
-		}
-		d.Retransmits.Add(1)
-		d.mu.Lock()
-		dm.inf.tried[to] = true
-		d.mu.Unlock()
+	for _, id := range due {
+		d.resend(id, &d.Retransmits)
 	}
 }
 
-// InflightLen returns the number of retained unacked messages.
+// InflightLen returns the number of tracked unacked forwards, persistent or
+// not.
 func (d *Dispatcher) InflightLen() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

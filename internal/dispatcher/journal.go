@@ -78,7 +78,7 @@ func (d *Dispatcher) applyRecord(kind uint8, payload []byte) error {
 			if low := uint64(b.Msg.ID) & idMask; low > d.nextMsg {
 				d.nextMsg = low
 			}
-			if len(d.inflight) < d.cfg.MaxInflight {
+			if d.cfg.Persistent && len(d.inflight) < d.cfg.MaxInflight {
 				d.inflight[b.Msg.ID] = &inflightMsg{msg: b.Msg, tried: map[core.NodeID]bool{}}
 			}
 		}
@@ -127,8 +127,10 @@ func (d *Dispatcher) journalID(kind uint8, id uint64) {
 	d.journal(kind, buf[:])
 }
 
-// snapshotJournal serializes the counters, the registry and the pending
-// table as one record stream and folds the WAL into it.
+// snapshotJournal serializes the counters, the registry and (Persistent
+// mode) the pending table as one record stream and folds the WAL into it. A
+// best-effort dispatcher's in-flight entries are never journaled: a restart
+// must not retransmit them.
 func (d *Dispatcher) snapshotJournal() {
 	d.mu.Lock()
 	var payload []byte
@@ -140,9 +142,11 @@ func (d *Dispatcher) snapshotJournal() {
 		body := (&wire.SubscribeBody{Sub: e.sub, DeliverAddr: e.addr}).Encode()
 		payload = store.AppendRecord(payload, recRegAdd, body)
 	}
-	for _, inf := range d.inflight {
-		body := (&wire.PublishBody{Msg: inf.msg}).Encode()
-		payload = store.AppendRecord(payload, recPending, body)
+	if d.cfg.Persistent {
+		for _, inf := range d.inflight {
+			body := (&wire.PublishBody{Msg: inf.msg}).Encode()
+			payload = store.AppendRecord(payload, recPending, body)
+		}
 	}
 	d.mu.Unlock()
 	if err := d.jnl.Snapshot(payload); err != nil {

@@ -9,7 +9,9 @@
 // for repeat offenders (Config.RerouteBackoff). Every busy NACK also feeds
 // the destination's circuit breaker and corrects the local load view with
 // the NACK's fresher queue depth. A ForwardBatch frame the transport cannot
-// send is re-routed the same way, one publication at a time.
+// send is re-routed the same way, one publication at a time. A best-effort
+// publication whose re-routes reach a dead end is lost and counted; a
+// persistent one waits for its retransmit deadline.
 
 package dispatcher
 
@@ -17,6 +19,7 @@ import (
 	"time"
 
 	"bluedove/internal/core"
+	"bluedove/internal/metrics"
 	"bluedove/internal/wire"
 )
 
@@ -28,20 +31,6 @@ func copyTried(m map[core.NodeID]bool) map[core.NodeID]bool {
 		c[k] = v
 	}
 	return c
-}
-
-// trackRouteLocked retains a non-persistent forward so a busy NACK or a
-// failed send can re-route it. Entries die on ack or expire after two retry
-// intervals; past the MaxInflight cap new forwards fall back to untracked
-// best-effort. The caller holds d.mu.
-func (d *Dispatcher) trackRouteLocked(msg *core.Message, to core.NodeID, now int64) {
-	if len(d.routes) < d.cfg.MaxInflight {
-		d.routes[msg.ID] = &routeState{
-			msg:     msg,
-			tried:   map[core.NodeID]bool{to: true},
-			expires: now + 2*int64(d.cfg.RetryInterval),
-		}
-	}
 }
 
 // handleBusy reacts to one busy NACK from matcher `from` for message `id`:
@@ -82,8 +71,10 @@ func (d *Dispatcher) sendFailed(node core.NodeID, entries []wire.ForwardEntry) {
 // `from` did not accept (a busy NACK or a failed send) and, within the retry
 // budget, re-routes the publication to the next-best candidate. The first
 // re-route is immediate; later ones wait a full-jitter exponential backoff
-// so a cluster-wide hot spot is not hammered in lockstep. It reports whether
-// the dispatcher tracks the publication.
+// so a cluster-wide hot spot is not hammered in lockstep. Once the budget is
+// spent a best-effort publication is lost and counted here; a persistent one
+// waits for its retransmit deadline. It reports whether the dispatcher
+// tracks the publication.
 func (d *Dispatcher) reroute(from core.NodeID, id core.MessageID, dim int) bool {
 	d.mu.Lock()
 	// The forward never joined the matcher's queue.
@@ -98,14 +89,11 @@ func (d *Dispatcher) reroute(from core.NodeID, id core.MessageID, dim int) bool 
 			if inf.reroutes < d.cfg.RetryBudget {
 				inf.reroutes++
 				attempt = inf.reroutes
+			} else if !d.cfg.Persistent {
+				// Budget spent: the best-effort publication is lost.
+				delete(d.inflight, id)
+				d.DroppedNoCandidate.Add(1)
 			}
-		}
-	} else if rs := d.routes[id]; rs != nil {
-		tracked = true
-		rs.tried[from] = true
-		if rs.reroutes < d.cfg.RetryBudget {
-			rs.reroutes++
-			attempt = rs.reroutes
 		}
 	}
 	var delay time.Duration
@@ -121,7 +109,7 @@ func (d *Dispatcher) reroute(from core.NodeID, id core.MessageID, dim int) bool 
 	d.mu.Unlock()
 
 	if attempt == 1 {
-		d.rerouteNow(id)
+		d.resend(id, &d.Rerouted)
 		return tracked
 	}
 	if !spawn {
@@ -136,71 +124,39 @@ func (d *Dispatcher) reroute(from core.NodeID, id core.MessageID, dim int) bool 
 			return
 		case <-t.C:
 		}
-		d.rerouteNow(id)
+		d.resend(id, &d.Rerouted)
 	}()
 	return tracked
 }
 
-// rerouteNow re-forwards a publication a matcher did not accept to the best
-// candidate not yet tried, if it is still unacked.
-func (d *Dispatcher) rerouteNow(id core.MessageID) {
+// resend re-forwards tracked publication id to the best candidate it has
+// not tried yet and counts the re-send in ctr (Rerouted or Retransmits).
+// When no such candidate is reachable, a persistent entry widens its net for
+// its next deadline (membership may have changed), and a best-effort one is
+// lost: forgotten and counted in DroppedNoCandidate.
+func (d *Dispatcher) resend(id core.MessageID, ctr *metrics.Counter) {
 	d.mu.Lock()
-	t := d.table
-	var msg *core.Message
+	t, inf := d.table, d.inflight[id]
 	var tried map[core.NodeID]bool
-	if inf := d.inflight[id]; inf != nil {
-		msg, tried = inf.msg, copyTried(inf.tried)
-	} else if rs := d.routes[id]; rs != nil {
-		msg, tried = rs.msg, copyTried(rs.tried)
+	if inf != nil {
+		// Snapshot tried under the lock: forwardOnce and the busy-NACK
+		// handler mutate the live map (also under the lock).
+		tried = copyTried(inf.tried)
 	}
 	d.mu.Unlock()
-	if t == nil || msg == nil {
-		return // acked (or never tracked) in the meantime
+	if t == nil || inf == nil {
+		return // acked or forgotten in the meantime
 	}
-	sent, to := d.forwardOnce(t, msg, tried)
-	if !sent {
-		return // no alternate candidate; persistence's retransmit loop may still save it
+	if d.forwardOnce(t, inf.msg, inf, tried) {
+		ctr.Add(1)
+		return
 	}
-	d.Rerouted.Add(1)
 	d.mu.Lock()
-	if inf := d.inflight[id]; inf != nil {
-		inf.tried[to] = true
-	} else if rs := d.routes[id]; rs != nil {
-		rs.tried[to] = true
+	if d.cfg.Persistent {
+		inf.tried = map[core.NodeID]bool{}
+	} else if d.inflight[id] == inf { // else acked meanwhile: not lost
+		delete(d.inflight, id)
+		d.DroppedNoCandidate.Add(1)
 	}
 	d.mu.Unlock()
-}
-
-// sweepRoutesLoop expires stale non-persistent route state (forwards whose
-// matcher died without acking or NACKing) so the table stays bounded.
-func (d *Dispatcher) sweepRoutesLoop() {
-	defer d.wg.Done()
-	tick := d.cfg.RetryInterval
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-ticker.C:
-			now := d.cfg.Now()
-			d.mu.Lock()
-			for id, rs := range d.routes {
-				if rs.expires <= now {
-					delete(d.routes, id)
-				}
-			}
-			d.mu.Unlock()
-		}
-	}
-}
-
-// RoutesLen returns the number of tracked non-persistent forwards (tests).
-func (d *Dispatcher) RoutesLen() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.routes)
 }

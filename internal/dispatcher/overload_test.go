@@ -3,6 +3,7 @@ package dispatcher
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"bluedove/internal/core"
 	"bluedove/internal/transport"
@@ -124,5 +125,112 @@ func TestRerouteOnEarlyBusyNack(t *testing.T) {
 	}
 	if got := h.d.Rerouted.Value(); got != n {
 		t.Errorf("Rerouted = %d, want %d", got, n)
+	}
+}
+
+// A best-effort publication that every candidate NACKs busy is lost where
+// its re-routes end, whether its budget runs out (budget 1) or its untried
+// candidates do (budget 2): the loss is counted once and the entry deleted.
+func TestRerouteDeadEndCountsLoss(t *testing.T) {
+	for _, budget := range []int{1, 2} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			busy := &earlyAckTransport{busy: true, all: true}
+			h := newHarnessWith(t, func(c *Config) {
+				c.RetryBudget = budget
+				busy.Transport = c.Transport
+				c.Transport = busy
+			}, "m1", "m2")
+			busy.ack = h.d.handle
+			h.seedGossip(t, []core.NodeID{1, 2}, []string{"m1", "m2"})
+			h.d.SetTable(table(t, 1, 2))
+
+			publishSplit(t, h, 1)
+			waitFor(t, func() bool { return h.d.DroppedNoCandidate.Value() == 1 })
+			if n := h.d.InflightLen(); n != 0 {
+				t.Errorf("InflightLen = %d after the loss, want 0", n)
+			}
+			if n := h.d.BusyReceived.Value(); n != 2 {
+				t.Errorf("BusyReceived = %d, want 2 (m1, then m2)", n)
+			}
+			if n := h.d.Rerouted.Value(); n != 1 {
+				t.Errorf("Rerouted = %d, want 1", n)
+			}
+			time.Sleep(20 * time.Millisecond)
+			if n := h.d.DroppedNoCandidate.Value(); n != 1 {
+				t.Errorf("DroppedNoCandidate = %d, want the loss counted once", n)
+			}
+		})
+	}
+}
+
+// A best-effort in-flight entry dies on its ack. One whose matcher never
+// answers is forgotten two retry intervals after its publication and is
+// never sent again.
+func TestInflightBestEffortDiesOnAckOrExpiry(t *testing.T) {
+	const ri = 100 * time.Millisecond
+	h := newHarnessWith(t, func(c *Config) { c.RetryInterval = ri }, "m1")
+	h.seedGossip(t, []core.NodeID{1}, []string{"m1"})
+	h.d.SetTable(table(t, 1))
+
+	h.publish(t, 1)
+	waitFor(t, func() bool { return len(h.batchEntries(t, "m1")) == 1 })
+	if n := h.d.InflightLen(); n != 1 {
+		t.Fatalf("InflightLen = %d after a best-effort forward, want 1", n)
+	}
+	id := h.batchEntries(t, "m1")[0].Msg.ID
+	h.send(t, wire.KindForwardAckBatch, 1, (&wire.ForwardAckBatchBody{IDs: []core.MessageID{id}}).Encode())
+	waitFor(t, func() bool { return h.d.InflightLen() == 0 })
+
+	start := time.Now()
+	h.publish(t, 1)
+	waitFor(t, func() bool { return h.d.InflightLen() == 1 })
+	waitFor(t, func() bool { return h.d.InflightLen() == 0 })
+	if el := time.Since(start); el < 2*ri {
+		t.Errorf("entry forgotten %v after its publication, want at least %v", el, 2*ri)
+	}
+	time.Sleep(2 * ri)
+	if n := len(h.batchEntries(t, "m1")); n != 2 {
+		t.Errorf("m1 received %d forwards, want 2: a best-effort entry is never re-sent", n)
+	}
+	if n := h.d.Retransmits.Value(); n != 0 {
+		t.Errorf("Retransmits = %d, want 0", n)
+	}
+	if n := h.d.DroppedNoCandidate.Value(); n != 0 {
+		t.Errorf("DroppedNoCandidate = %d, want 0: an unanswered forward may have been delivered", n)
+	}
+}
+
+// AdmissionLimit counts every tracked forward: persistent or not, a
+// dispatcher whose matcher never acks admits exactly the limit's worth of
+// publications.
+func TestInflightAdmissionLimitSameInBothModes(t *testing.T) {
+	const lim = 3
+	for _, persistent := range []bool{true, false} {
+		t.Run(fmt.Sprintf("persistent=%v", persistent), func(t *testing.T) {
+			h := newHarnessWith(t, func(c *Config) {
+				c.Persistent = persistent
+				c.AdmissionLimit = lim
+				c.RetryInterval = time.Minute
+			}, "m1")
+			h.seedGossip(t, []core.NodeID{1}, []string{"m1"})
+			h.d.SetTable(table(t, 1))
+
+			admitted := 0
+			for i := 0; i < lim+2; i++ {
+				msg := core.NewMessage([]float64{50, 50}, nil)
+				if h.request(t, wire.KindPublishReq, (&wire.PublishBody{Msg: msg}).Encode()).Kind == wire.KindPublishAck {
+					admitted++
+				}
+			}
+			if admitted != lim {
+				t.Errorf("admitted %d publications, want %d", admitted, lim)
+			}
+			if n := h.d.Overloaded.Value(); n != 2 {
+				t.Errorf("Overloaded = %d, want 2", n)
+			}
+			if n := h.d.InflightLen(); n != lim {
+				t.Errorf("InflightLen = %d, want %d", n, lim)
+			}
+		})
 	}
 }

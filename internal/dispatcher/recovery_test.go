@@ -6,6 +6,7 @@ import (
 
 	"bluedove/internal/core"
 	"bluedove/internal/partition"
+	"bluedove/internal/store"
 	"bluedove/internal/transport"
 	"bluedove/internal/wire"
 )
@@ -288,21 +289,22 @@ func newHarnessPersistent(t *testing.T, matcherAddrs ...string) *harness {
 	return h
 }
 
-// earlyAckTransport has matcher 1 (m1) answer each ForwardBatch frame
-// synchronously, inside the Send that carries it: the tightest answer/track
-// interleaving a real transport can produce. The answer acks every entry,
-// or with busy set NACKs every entry.
+// earlyAckTransport has matcher 1 (m1), or with all set every matcher mN,
+// answer each ForwardBatch frame synchronously, inside the Send that carries
+// it: the tightest answer/track interleaving a real transport can produce.
+// The answer acks every entry, or with busy set NACKs every entry.
 type earlyAckTransport struct {
 	transport.Transport
 	ack  func(*wire.Envelope) *wire.Envelope
 	busy bool
+	all  bool
 }
 
 func (e *earlyAckTransport) Send(addr string, env *wire.Envelope) error {
 	if err := e.Transport.Send(addr, env); err != nil {
 		return err
 	}
-	if addr != "m1" || env.Kind != wire.KindForwardBatch {
+	if (addr != "m1" && !e.all) || env.Kind != wire.KindForwardBatch {
 		return nil
 	}
 	if b, err := wire.DecodeForwardBatch(env.Body); err == nil {
@@ -314,7 +316,8 @@ func (e *earlyAckTransport) Send(addr string, env *wire.Envelope) error {
 				ack.IDs = append(ack.IDs, fe.Msg.ID)
 			}
 		}
-		e.ack(&wire.Envelope{Kind: wire.KindForwardAckBatch, From: 1, Body: ack.Encode()})
+		from := core.NodeID(addr[len(addr)-1] - '0')
+		e.ack(&wire.Envelope{Kind: wire.KindForwardAckBatch, From: from, Body: ack.Encode()})
 	}
 	return nil
 }
@@ -346,5 +349,121 @@ func TestEarlyAckSettlesInflight(t *testing.T) {
 	}
 	if n := len(h.batchEntries(t, "m1")); n != 1 {
 		t.Fatalf("matcher saw %d forwards, want 1", n)
+	}
+}
+
+// restartOn boots a second dispatcher with the harness dispatcher's identity
+// on the harness mesh, after the first one stopped; mutate sets its mode and
+// data dir.
+func restartOn(t *testing.T, h *harness, mutate func(*Config)) *Dispatcher {
+	t.Helper()
+	h.mesh.Unbind("d1")
+	cfg := Config{
+		ID: 100, Addr: "d1", Space: testSpace, Transport: h.mesh.Endpoint("d1"),
+		GossipInterval: 25 * time.Millisecond, RecoveryDelay: 100 * time.Millisecond,
+		FailAfter: 300 * time.Millisecond, Generation: 2,
+	}
+	mutate(&cfg)
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Stop)
+	return d
+}
+
+// A persistent publication no matcher ever acks is given up after
+// maxRetransmitAttempts: the loss is counted, and its pending record is
+// tombstoned so a restart does not resurrect it.
+func TestRetransmitGiveUpCountedAndTombstoned(t *testing.T) {
+	dir := t.TempDir()
+	h := newHarnessWith(t, func(c *Config) {
+		c.Persistent = true
+		c.RetryInterval = 2 * time.Millisecond
+		c.DataDir = dir
+		c.Fsync = store.FsyncNever
+	}, "m1")
+	h.seedGossip(t, []core.NodeID{1}, []string{"m1"})
+	h.d.SetTable(table(t, 1))
+
+	h.publish(t, 1)
+	waitFor(t, func() bool { return h.d.DroppedNoCandidate.Value() == 1 })
+	if n := h.d.InflightLen(); n != 0 {
+		t.Errorf("InflightLen = %d after the give-up, want 0", n)
+	}
+	if n := h.d.Retransmits.Value(); n == 0 {
+		t.Error("given up without a retransmission")
+	}
+
+	h.d.Stop()
+	d2 := restartOn(t, h, func(c *Config) {
+		c.Persistent = true
+		c.RetryInterval = time.Minute // a resurrected entry would stay
+		c.DataDir = dir
+		c.Fsync = store.FsyncNever
+	})
+	if n := d2.InflightLen(); n != 0 {
+		t.Fatalf("restart resurrected %d given-up publications", n)
+	}
+}
+
+// A best-effort dispatcher with a data dir journals no in-flight entry, by
+// append, ack or snapshot, and a restart tracks nothing.
+func TestInflightBestEffortNotJournaled(t *testing.T) {
+	dir := t.TempDir()
+	h := newHarnessWith(t, func(c *Config) {
+		c.RetryInterval = time.Minute
+		c.DataDir = dir
+		c.Fsync = store.FsyncNever
+	}, "m1")
+	h.seedGossip(t, []core.NodeID{1}, []string{"m1"})
+	h.d.SetTable(table(t, 1))
+
+	h.publish(t, 2)
+	waitFor(t, func() bool { return len(h.batchEntries(t, "m1")) == 2 })
+	if n := h.d.InflightLen(); n != 2 {
+		t.Fatalf("InflightLen = %d, want 2", n)
+	}
+	h.d.snapshotJournal() // taken while both entries are unacked
+	// An ack after the snapshot lands in the WAL tail. The mesh serves d1's
+	// inbound frames in order, so once the next publication is forwarded
+	// the ack has been handled.
+	id := h.batchEntries(t, "m1")[0].Msg.ID
+	h.send(t, wire.KindForwardAckBatch, 1, (&wire.ForwardAckBatchBody{IDs: []core.MessageID{id}}).Encode())
+	h.publish(t, 1)
+	waitFor(t, func() bool { return len(h.batchEntries(t, "m1")) == 3 })
+	if n := h.d.InflightLen(); n != 2 {
+		t.Fatalf("InflightLen = %d after one ack, want 2", n)
+	}
+	h.d.Stop()
+
+	kinds := map[uint8]int{}
+	count := func(kind uint8, _ []byte) error { kinds[kind]++; return nil }
+	s, err := store.Open(store.Options{Dir: dir, Fsync: store.FsyncNever,
+		Restore: func(p []byte) error { return store.WalkRecords(p, count) }, Apply: count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if kinds[recCounters] == 0 {
+		t.Fatalf("journal holds no snapshot: %v", kinds)
+	}
+	if kinds[recPending] != 0 || kinds[recAck] != 0 {
+		t.Errorf("best-effort journal holds %d pending and %d ack records, want none",
+			kinds[recPending], kinds[recAck])
+	}
+
+	d2 := restartOn(t, h, func(c *Config) {
+		c.RetryInterval = time.Minute
+		c.DataDir = dir
+		c.Fsync = store.FsyncNever
+	})
+	if n := d2.InflightLen(); n != 0 {
+		t.Fatalf("restarted best-effort dispatcher tracks %d publications, want 0", n)
 	}
 }

@@ -13,7 +13,9 @@ func (d *Dispatcher) registerTelemetry() {
 	r.Gauge("node.info", "constant 1; labels identify the node", func(int64) float64 { return 1 })
 	r.Counter("dispatcher.published", "publications accepted from clients", &d.Published)
 	r.Counter("dispatcher.forwarded", "publications forwarded to a matcher", &d.Forwarded)
-	r.Counter("dispatcher.dropped_no_candidate", "publications dropped with no alive candidate", &d.DroppedNoCandidate)
+	r.Counter("dispatcher.dropped_no_candidate",
+		"publications lost: no alive candidate, untracked failed send, re-route dead end or retransmit give-up",
+		&d.DroppedNoCandidate)
 	r.Counter("dispatcher.retransmits", "persistence re-forwards of unacked publications", &d.Retransmits)
 	r.Counter("dispatcher.forward_batches", "ForwardBatch frames sent", &d.ForwardBatches)
 	r.Counter("dispatcher.pull_bytes", "table-pull response traffic", &d.PullBytes)
@@ -23,11 +25,8 @@ func (d *Dispatcher) registerTelemetry() {
 	// Registered even without a journal (always zero then) so the scrape
 	// contract can require the series on every dispatcher.
 	r.Counter("dispatcher.journal_errors", "journal appends/snapshots that failed", &d.JournalErrors)
-	r.Gauge("dispatcher.inflight", "retained unacked publications", func(int64) float64 {
+	r.Gauge("dispatcher.inflight", "tracked unacked forwards, persistent or not", func(int64) float64 {
 		return float64(d.InflightLen())
-	})
-	r.Gauge("dispatcher.routes", "tracked non-persistent forwards awaiting ack", func(int64) float64 {
-		return float64(d.RoutesLen())
 	})
 	if d.breaker != nil {
 		br := d.breaker

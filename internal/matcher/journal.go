@@ -18,8 +18,11 @@ import (
 const (
 	recSubStore  uint8 = 1 // wire.StoreBody: one subscription copy on one dimension
 	recSubRemove uint8 = 2 // wire.UnsubscribeBody: remove from every dimension
-	recTransfer  uint8 = 3 // wire.TransferBody: handover bulk install
-	recTable     uint8 = 4 // partition table encoding: adopted segment table
+	// recTransfer is a wire.TransferBody: a handover bulk install. Only
+	// journals written before handovers moved to KindTransferRange hold it;
+	// replay still installs their copies.
+	recTransfer uint8 = 3
+	recTable    uint8 = 4 // partition table encoding: adopted segment table
 	// recTransferRange is a wire.TransferRangeBody: a range-bounded handover
 	// install. Replay re-arms the adoption guard with the TransferID, so a
 	// transfer retried across a crash of the receiving matcher is still

@@ -83,3 +83,45 @@ func TestJournalRestartRestoresSubscriptions(t *testing.T) {
 	}
 	waitFor(t, func() bool { return m2.SubsOnDim(0) == 6 })
 }
+
+// A journal written before handovers moved to KindTransferRange may hold
+// recTransfer records: replay still installs their copies. A live
+// KindTransfer frame is ignored.
+func TestJournalReplaysRetiredTransfer(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(store.Options{Dir: dir, Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := &wire.TransferBody{Dim: 0, Subs: []*core.Subscription{mkSub(1, 0, 50), mkSub(2, 0, 50)},
+		DeliverAddrs: []string{"peer", "peer"}}
+	if err := s.Append(recTransfer, old.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mesh := transport.NewMesh(0)
+	defer mesh.Close()
+	m := startDurable(t, mesh, dir, nil)
+	defer m.Stop()
+	if got := m.SubsOnDim(0); got != 2 {
+		t.Fatalf("replayed %d transferred subscriptions, want 2", got)
+	}
+
+	ep := mesh.Endpoint("tester")
+	live := &wire.TransferBody{Dim: 0, Subs: []*core.Subscription{mkSub(3, 0, 50)}, DeliverAddrs: []string{"peer"}}
+	if err := ep.Send("m1", &wire.Envelope{Kind: wire.KindTransfer, From: 99, Body: live.Encode()}); err != nil {
+		t.Fatal(err)
+	}
+	// The mesh serves m1's inbound frames in order: once this store lands,
+	// the transfer frame has been handled.
+	store4 := (&wire.StoreBody{Dim: 0, Sub: mkSub(4, 0, 50), DeliverAddr: "peer"}).Encode()
+	if err := ep.Send("m1", &wire.Envelope{Kind: wire.KindStore, From: 99, Body: store4}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return m.SubsOnDim(0) >= 3 })
+	if got := m.SubsOnDim(0); got != 3 {
+		t.Fatalf("dimension 0 holds %d subscriptions, want 3: a live KindTransfer frame was installed", got)
+	}
+}

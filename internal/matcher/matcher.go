@@ -345,20 +345,6 @@ func (m *Matcher) handle(env *wire.Envelope) *wire.Envelope {
 		}
 		m.enqueueBatch(b, env.From)
 		return nil
-	case wire.KindTransfer:
-		b, err := wire.DecodeTransfer(env.Body)
-		if err != nil || b.Dim < 0 || b.Dim >= len(m.dims) {
-			return nil
-		}
-		for i, s := range b.Subs {
-			addr := ""
-			if i < len(b.DeliverAddrs) {
-				addr = b.DeliverAddrs[i]
-			}
-			m.store(b.Dim, s, addr)
-		}
-		m.journal(recTransfer, env.Body)
-		return nil
 	case wire.KindTransferRange:
 		b, err := wire.DecodeTransferRange(env.Body)
 		if err != nil || b.Dim < 0 || b.Dim >= len(m.dims) {

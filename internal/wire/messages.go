@@ -38,7 +38,10 @@ const (
 	KindTableResponse
 	// KindGossip carries gossip-layer state (opaque to this package).
 	KindGossip
-	// KindTransfer moves subscription copies during a segment handover.
+	// KindTransfer is retired: handovers send KindTransferRange, and
+	// matchers ignore a KindTransfer frame. The kind, TransferBody and
+	// DecodeTransfer stay so a matcher journal written before the switch
+	// (recTransfer records) still replays.
 	KindTransfer
 	// KindPoll asks for queued deliveries (indirect delivery mode).
 	KindPoll
@@ -436,8 +439,9 @@ func DecodeTableResponse(data []byte) (*TableResponseBody, error) {
 	return b, r.finish()
 }
 
-// TransferBody moves subscription copies during a segment handover
-// (matcher → matcher).
+// TransferBody moved subscription copies during a segment handover
+// (matcher → matcher) before TransferRangeBody replaced it; it is decoded
+// only to replay old matcher journals.
 type TransferBody struct {
 	Dim  int
 	Subs []*core.Subscription
