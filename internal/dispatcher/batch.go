@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"bluedove/internal/core"
+	"bluedove/internal/seda"
 	"bluedove/internal/transport"
 	"bluedove/internal/wire"
 )
@@ -18,25 +19,17 @@ const (
 // forwardBatcher coalesces forwarded publications per destination matcher
 // into ForwardBatch frames by group commit. The publication that fills a
 // batch to maxBatchCount messages or maxBatchBytes ships it inline; any
-// other publication marks its destination dirty and wakes the one flusher
-// goroutine (flushLoop), which ships every dirty batch as soon as it is
-// free. An idle path pays one goroutine hand-off and waits for no timer;
-// publications that arrive while a pass is sending leave together in the
-// next one, one frame per destination.
+// other publication pushes its destination on the dirty queue, which the one
+// flusher goroutine (flushLoop) drains as soon as it is free, one frame per
+// destination.
 type forwardBatcher struct {
 	d          *Dispatcher
 	sendCopies bool
-	// wake has one slot: an add that dirties a destination posts to it
-	// without blocking, so any number of adds during a pass collapse into
-	// one more pass.
-	wake chan struct{}
+	dirty      seda.Queue[*destBatch] // destinations dirtied since the flusher's last Take
 
 	mu      sync.Mutex
 	pending map[core.NodeID]*destBatch
-	dirty   []*destBatch          // destinations dirtied since the flusher's last swap
 	free    [][]wire.ForwardEntry // recycled entry slices (bounded)
-
-	spare []*destBatch // the flusher's list to swap in next
 }
 
 // destBatch is the open batch for one destination matcher.
@@ -45,7 +38,7 @@ type destBatch struct {
 	addr    string
 	entries []wire.ForwardEntry
 	bytes   int  // encoded-size estimate of entries
-	dirty   bool // on forwardBatcher.dirty
+	dirty   bool // queued on forwardBatcher.dirty
 }
 
 // envPool recycles envelope headers on the copying-transport send path: a
@@ -56,7 +49,6 @@ func newForwardBatcher(d *Dispatcher) *forwardBatcher {
 	return &forwardBatcher{
 		d:          d,
 		sendCopies: transport.SendCopies(d.cfg.Transport),
-		wake:       make(chan struct{}, 1),
 		pending:    make(map[core.NodeID]*destBatch),
 	}
 }
@@ -80,52 +72,40 @@ func (b *forwardBatcher) add(node core.NodeID, addr string, dim int, msg *core.M
 	db.entries = append(db.entries, e)
 	db.bytes += sz
 	var full []wire.ForwardEntry
-	wake := false
+	mark := false
 	if len(db.entries) >= maxBatchCount || db.bytes+4 >= maxBatchBytes {
 		full = db.entries
 		db.entries = nil
 		db.bytes = 0
 	} else if !db.dirty {
 		db.dirty = true
-		b.dirty = append(b.dirty, db)
-		wake = true
+		mark = true
 	}
 	b.mu.Unlock()
 	if full != nil {
 		b.send(node, addr, full)
-	} else if wake {
-		select {
-		case b.wake <- struct{}{}:
-		default: // a wake-up is already pending
-		}
+	} else if mark {
+		b.dirty.Push(db)
 	}
 }
 
-// flushLoop is the flusher: it sleeps until an add dirties a destination,
-// then runs one pass. When the dispatcher stops it runs a final pass so
-// buffered publications are not lost.
+// flushLoop is the flusher: each pass ships the open batch of every
+// destination dirtied since the last one. Stop closes the queue, and the
+// loop returns after a final pass, so buffered publications are not lost.
 func (d *Dispatcher) flushLoop() {
 	defer d.wg.Done()
+	var dbs []*destBatch
 	for {
-		select {
-		case <-d.stop:
-			d.batcher.flushDirty()
+		var ok bool
+		if dbs, ok = d.batcher.dirty.Take(dbs, 1); !ok {
 			return
-		case <-d.batcher.wake:
-			d.batcher.flushDirty()
 		}
+		d.batcher.flush(dbs)
 	}
 }
 
-// flushDirty is one flusher pass: it swaps the spare list in as the dirty
-// list and ships the open batch of every destination on the old one. The two
-// lists trade places every pass, so a pass allocates nothing and costs
-// O(dirty destinations). Only the flusher calls it.
-func (b *forwardBatcher) flushDirty() {
-	b.mu.Lock()
-	dbs := b.dirty
-	b.dirty = b.spare
-	b.mu.Unlock()
+// flush is one flusher pass over the destinations in dbs.
+func (b *forwardBatcher) flush(dbs []*destBatch) {
 	for _, db := range dbs {
 		b.mu.Lock()
 		node, addr, entries := db.node, db.addr, db.entries
@@ -135,8 +115,6 @@ func (b *forwardBatcher) flushDirty() {
 			b.send(node, addr, entries)
 		}
 	}
-	clear(dbs) // drop the references until the slots are reused
-	b.spare = dbs[:0]
 }
 
 // send encodes one ForwardBatch frame and ships it, recycling the encode

@@ -215,8 +215,9 @@ func (discardTransport) SendCopies() bool                  { return true }
 
 // TestForwardFlushPassAllocatesNothing pins the batcher's cost per
 // publication on a copying transport: buffering it, marking its destination
-// dirty and running a flush pass reuse the entry slices, the two dirty
-// lists, the pass's batch list, the encode buffer and the envelope.
+// dirty and running a flush pass reuse the entry slices, the dirty queue's
+// backing array (traded with the pass's batch), the encode buffer and the
+// envelope.
 func TestForwardFlushPassAllocatesNothing(t *testing.T) {
 	d, err := New(Config{ID: 100, Addr: "d1", Space: testSpace, Transport: discardTransport{}})
 	if err != nil {
@@ -225,14 +226,16 @@ func TestForwardFlushPassAllocatesNothing(t *testing.T) {
 	msg := core.NewMessage([]float64{10, 50}, nil)
 	msg.ID = 1
 	b := d.batcher
-	for i := 0; i < 2; i++ { // size both dirty lists
+	var dbs []*destBatch
+	pass := func() {
 		b.add(1, "m1", 0, msg)
-		b.flushDirty()
+		dbs, _ = b.dirty.Take(dbs, 1)
+		b.flush(dbs)
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		b.add(1, "m1", 0, msg)
-		b.flushDirty()
-	})
+	for i := 0; i < 2; i++ { // size the queue's array and the batch
+		pass()
+	}
+	allocs := testing.AllocsPerRun(1000, pass)
 	if allocs != 0 {
 		t.Errorf("add + flush pass: %v allocs, want 0", allocs)
 	}

@@ -390,6 +390,7 @@ func (d *Dispatcher) Stop() {
 	d.mu.Lock()
 	d.stopping = true
 	d.mu.Unlock()
+	d.batcher.dirty.Close()
 	d.gsp.Stop()
 	d.wg.Wait()
 	d.closeJournal()
@@ -746,6 +747,15 @@ func (d *Dispatcher) handlePublish(msg *core.Message, wantAck bool) *wire.Envelo
 		}
 		return nil
 	}
+	if d.cfg.Persistent && d.jnl != nil {
+		// Journaled before the frame can leave: an ack racing back inside
+		// forwardOnce (a batch this publication fills ships inline) then
+		// lands after it in the journal, and replay settles the entry.
+		// Journaled even past the inflight cap so the message-ID watermark
+		// survives a restart (the replay applies the same cap to the rebuilt
+		// table; only the counter always advances).
+		d.journal(recPending, (&wire.PublishBody{Msg: msg}).Encode())
+	}
 	sent := d.forwardOnce(t, msg, inf, nil)
 	if d.cfg.Persistent {
 		// Not sent: no candidate is reachable right now — e.g. every owner
@@ -753,13 +763,6 @@ func (d *Dispatcher) handlePublish(msg *core.Message, wantAck bool) *wire.Envelo
 		// so the entry stays with nothing tried: recovery reassigns the
 		// dead matcher's segments and the retransmit loop re-forwards to
 		// the new owners.
-		//
-		// Journaled even past the inflight cap so the message-ID watermark
-		// survives a restart (the replay applies the same cap to the rebuilt
-		// table; only the counter always advances).
-		if d.jnl != nil {
-			d.journal(recPending, (&wire.PublishBody{Msg: msg}).Encode())
-		}
 		return d.publishAck(msg, wantAck)
 	}
 	if sent {

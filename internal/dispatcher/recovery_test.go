@@ -467,3 +467,48 @@ func TestInflightBestEffortNotJournaled(t *testing.T) {
 		t.Fatalf("restarted best-effort dispatcher tracks %d publications, want 0", n)
 	}
 }
+
+// A persistent publication's pending record is journaled before its frame
+// can leave, so an ack that races back inside the send is journaled after it
+// and replay settles the publication. Here m1 acks inside Send, and the
+// 65th publication fills a batch that ships inline on its own handler
+// goroutine while the flusher is held on the first one.
+func TestPendingJournaledBeforeInlineAck(t *testing.T) {
+	dir := t.TempDir()
+	g := newGate()
+	tr := &earlyAckTransport{}
+	h := newHarnessWith(t, func(c *Config) {
+		c.Persistent = true
+		c.RetryInterval = time.Minute // nothing is retransmitted meanwhile
+		c.DataDir = dir
+		c.Fsync = store.FsyncNever
+		tr.Transport = c.Transport
+		g.Transport = tr
+		c.Transport = g
+	}, "m1")
+	t.Cleanup(g.open) // runs before the harness stops the dispatcher
+	tr.ack = h.d.handle
+	h.seedGossip(t, []core.NodeID{1}, []string{"m1"})
+	h.d.SetTable(table(t, 1))
+
+	h.publish(t, 1)
+	g.waitHeld(t)
+	h.publish(t, maxBatchCount)
+	waitFor(t, func() bool { return h.d.Forwarded.Value() == maxBatchCount+1 })
+	if got := g.frameSizes(); len(got) != 2 || got[1] != maxBatchCount {
+		t.Fatalf("frame sizes = %v, want [1 %d]", got, maxBatchCount)
+	}
+	g.open()
+	waitFor(t, func() bool { return h.d.InflightLen() == 0 })
+
+	h.d.Stop()
+	d2 := restartOn(t, h, func(c *Config) {
+		c.Persistent = true
+		c.RetryInterval = time.Minute // a resurrected entry would stay
+		c.DataDir = dir
+		c.Fsync = store.FsyncNever
+	})
+	if n := d2.InflightLen(); n != 0 {
+		t.Fatalf("restart resurrected %d acked publications", n)
+	}
+}

@@ -62,6 +62,7 @@ import (
 	"bluedove/internal/core"
 	"bluedove/internal/index"
 	"bluedove/internal/metrics"
+	"bluedove/internal/seda"
 	"bluedove/internal/telemetry"
 	"bluedove/internal/transport"
 	"bluedove/internal/wire"
@@ -217,8 +218,14 @@ type Edge struct {
 	agg        []core.Range
 	upstreamID core.SubscriptionID
 
-	ready readyQueue
-	fanin faninQueue
+	// ready holds the sessions the flush workers drain, each taking a fair
+	// share. fanin stages upstream publications for the fan-in worker. It is
+	// unbounded on purpose: the transport delivers one-way frames per
+	// address in order, so blocking the handler here (a backpressured
+	// session) would starve the ack frames queued behind the delivery — the
+	// very frames that relieve the stall. Its depth is edge.fanin_staged.
+	ready seda.Queue[*session]
+	fanin seda.Queue[*core.Message]
 	stop  chan struct{}
 	wg    sync.WaitGroup
 
@@ -240,94 +247,6 @@ type Edge struct {
 	sendFailures      metrics.Counter
 	arrival           *metrics.RateMeter // fan-out λ
 	service           *metrics.RateMeter // fan-out μ
-}
-
-// readyQueue is the readiness FIFO the flush workers drain — the epoll-style
-// core of the session loop. Unbounded so fan-in never blocks on it.
-type readyQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []*session
-	closed bool
-}
-
-// push queues ss with one lock round-trip and one wake-up; a worker that
-// leaves sessions behind wakes the next (see popAll).
-func (rq *readyQueue) push(ss ...*session) {
-	if len(ss) == 0 {
-		return
-	}
-	rq.mu.Lock()
-	rq.q = append(rq.q, ss...)
-	rq.mu.Unlock()
-	rq.cond.Signal()
-}
-
-// popAll waits for ready sessions and moves a fair share of them — the
-// queue's length over the worker count, rounded up — into dst, which it
-// empties first. A worker that leaves sessions behind wakes another, so a
-// burst spreads over the pool instead of queueing behind one worker.
-func (rq *readyQueue) popAll(dst []*session, workers int) ([]*session, bool) {
-	rq.mu.Lock()
-	for len(rq.q) == 0 && !rq.closed {
-		rq.cond.Wait()
-	}
-	n := (len(rq.q) + workers - 1) / workers
-	dst = append(dst[:0], rq.q[:n]...)
-	rq.q = dropFront(rq.q, n)
-	more := len(rq.q) > 0
-	rq.mu.Unlock()
-	if more {
-		rq.cond.Signal()
-	}
-	return dst, n > 0
-}
-
-func (rq *readyQueue) close() {
-	rq.mu.Lock()
-	rq.closed = true
-	rq.mu.Unlock()
-	rq.cond.Broadcast()
-}
-
-// faninQueue stages upstream publications between the transport handler and
-// the fan-in worker. It is deliberately unbounded: the transport delivers
-// one-way frames per address in order, so blocking here (a backpressured
-// session) would starve the ack frames queued behind the delivery — the very
-// frames that relieve the stall. Depth is exported as edge.fanin_staged.
-type faninQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []*core.Message
-	closed bool
-}
-
-func (fq *faninQueue) push(msg *core.Message) {
-	fq.mu.Lock()
-	fq.q = append(fq.q, msg)
-	fq.mu.Unlock()
-	fq.cond.Signal()
-}
-
-// popAll waits for staged publications and swaps the whole queue for spare
-// (emptied first), so the fan-in worker drains a backlog in one lock
-// round-trip. The caller clears the returned slice before passing it back.
-func (fq *faninQueue) popAll(spare []*core.Message) ([]*core.Message, bool) {
-	fq.mu.Lock()
-	defer fq.mu.Unlock()
-	for len(fq.q) == 0 && !fq.closed {
-		fq.cond.Wait()
-	}
-	out := fq.q
-	fq.q = spare[:0]
-	return out, len(out) > 0
-}
-
-func (fq *faninQueue) close() {
-	fq.mu.Lock()
-	fq.closed = true
-	fq.mu.Unlock()
-	fq.cond.Broadcast()
 }
 
 // dropFront removes the first n elements of q in place and clears the
@@ -377,8 +296,6 @@ func New(cfg Config) (*Edge, error) {
 		arrival:  metrics.NewRateMeter(2*time.Second, 20),
 		service:  metrics.NewRateMeter(2*time.Second, 20),
 	}
-	e.ready.cond = sync.NewCond(&e.ready.mu)
-	e.fanin.cond = sync.NewCond(&e.fanin.mu)
 	if cfg.Telemetry != nil {
 		e.registerTelemetry()
 	}
@@ -461,8 +378,8 @@ func (e *Edge) Stop() {
 		s.cond.Broadcast()
 	}
 	close(e.stop)
-	e.fanin.close()
-	e.ready.close()
+	e.fanin.Close()
+	e.ready.Close()
 	e.wg.Wait()
 }
 
@@ -543,7 +460,7 @@ func (e *Edge) stage(msg *core.Message) {
 		return
 	}
 	e.staged.Add(1)
-	e.fanin.push(msg)
+	e.fanin.Push(msg)
 }
 
 // faninWorker drains the staging queue in order. It is the one goroutine a
@@ -553,14 +470,13 @@ func (e *Edge) faninWorker() {
 	var batch []*core.Message
 	for {
 		var ok bool
-		if batch, ok = e.fanin.popAll(batch); !ok {
+		if batch, ok = e.fanin.Take(batch, 1); !ok {
 			return
 		}
 		for _, msg := range batch {
 			e.staged.Add(-1)
 			e.fanOutMsg(msg)
 		}
-		clear(batch)
 	}
 }
 
@@ -1045,7 +961,7 @@ func (e *Edge) fanOutMsg(msg *core.Message) {
 			ready = append(ready, t.s)
 		}
 	}
-	e.ready.push(ready...)
+	e.ready.Push(ready...)
 	e.fanOut.Add(int64(appended))
 	e.arrival.Mark(e.cfg.Now(), int64(appended))
 }
@@ -1075,7 +991,7 @@ func (e *Edge) append(s *session, msg []byte, ids []core.SubscriptionID, ready *
 			for !s.detached && !s.closed && s.pendingBytes+size > e.cfg.BufferBytes && s.pendingBytes > 0 {
 				if len(*ready) > 0 {
 					s.mu.Unlock()
-					e.ready.push(*ready...)
+					e.ready.Push(*ready...)
 					*ready = (*ready)[:0]
 					s.mu.Lock()
 					continue
@@ -1152,7 +1068,7 @@ func (e *Edge) enqueueReady(s *session) {
 	}
 	s.queued = true
 	s.mu.Unlock()
-	e.ready.push(s)
+	e.ready.Push(s)
 }
 
 // flushWorker drains the ready queue a batch of sessions at a time, reusing
@@ -1163,7 +1079,7 @@ func (e *Edge) flushWorker() {
 	var ents []entry
 	for {
 		var ok bool
-		if batch, ok = e.ready.popAll(batch, e.cfg.FlushWorkers); !ok {
+		if batch, ok = e.ready.Take(batch, e.cfg.FlushWorkers); !ok {
 			return
 		}
 		sent := 0
@@ -1172,7 +1088,6 @@ func (e *Edge) flushWorker() {
 			ents, n = e.flush(s, ents)
 			sent += n
 		}
-		clear(batch)
 		if sent > 0 {
 			e.sent.Add(int64(sent))
 			e.service.Mark(e.cfg.Now(), int64(sent))

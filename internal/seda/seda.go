@@ -7,6 +7,7 @@
 //
 // A matcher runs one stage per searchable dimension ("a separate queue is
 // used to store incoming messages on each dimension", paper Section III-B1).
+// Queue is the unbounded counterpart every group-commit flusher drains.
 package seda
 
 import (

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bluedove/internal/metrics"
+	"bluedove/internal/seda"
 	"bluedove/internal/wire"
 )
 
@@ -50,13 +51,7 @@ type TCP struct {
 	wg        sync.WaitGroup
 
 	flusherOnce sync.Once
-	flusherStop chan struct{}
-	// flushWake has one slot: a Send that dirties a connection posts to it
-	// without blocking, so any number of sends during a pass collapse into
-	// one more pass.
-	flushWake chan struct{}
-	dirtyMu   sync.Mutex
-	dirty     []*sendConn // connections dirtied since the flusher's last swap
+	dirty       seda.Queue[*sendConn] // connections dirtied since the flusher's last Take
 
 	// FramesSent / BytesSent count one-way frames written (including
 	// buffered frames awaiting a coalesced flush); FramesReceived /
@@ -75,7 +70,7 @@ type sendConn struct {
 	conn net.Conn
 	bw   *bufio.Writer
 	// dirty marks buffered frames awaiting a flush. The Send that sets it
-	// puts the connection on TCP.dirty, so the flusher's next pass finds it.
+	// pushes the connection on TCP.dirty, so the flusher's next pass finds it.
 	dirty bool
 }
 
@@ -85,8 +80,6 @@ func NewTCP() *TCP {
 		DialTimeout: 2 * time.Second,
 		conns:       make(map[string]*sendConn),
 		accepted:    make(map[net.Conn]struct{}),
-		flusherStop: make(chan struct{}),
-		flushWake:   make(chan struct{}, 1),
 	}
 }
 
@@ -230,7 +223,7 @@ func (t *TCP) Send(addr string, env *wire.Envelope) error {
 		sc.dirty = true
 		sc.mu.Unlock()
 		if dirtied {
-			t.markDirty(sc)
+			t.dirty.Push(sc)
 		}
 		t.FramesSent.Add(1)
 		t.BytesSent.Add(int64(len(env.Body)))
@@ -239,51 +232,25 @@ func (t *TCP) Send(addr string, env *wire.Envelope) error {
 	return fmt.Errorf("%w: send to %s failed after retry", ErrUnreachable, addr)
 }
 
-// markDirty queues sc for the flusher's next pass and wakes it.
-func (t *TCP) markDirty(sc *sendConn) {
-	t.dirtyMu.Lock()
-	t.dirty = append(t.dirty, sc)
-	t.dirtyMu.Unlock()
-	select {
-	case t.flushWake <- struct{}{}:
-	default: // a wake-up is already pending
-	}
-}
-
-// flushLoop is the write coalescer (group commit): it sleeps until a Send
-// dirties a connection, then runs one pass. Sends that arrive during a pass
-// fill the other list and leave together in the next one.
+// flushLoop is the write coalescer (group commit): each pass flushes the
+// connections dirtied since the last one. It returns once Close has closed
+// the queue and the last pass is done.
 func (t *TCP) flushLoop() {
 	defer t.wg.Done()
-	var spare []*sendConn
+	var scs []*sendConn
 	for {
-		select {
-		case <-t.flusherStop:
+		var ok bool
+		if scs, ok = t.dirty.Take(scs, 1); !ok {
 			return
-		case <-t.flushWake:
-			spare = t.flushDirty(spare)
+		}
+		for _, sc := range scs {
+			sc.flush()
 		}
 	}
 }
 
-// flushDirty is one flusher pass: it swaps spare in as the dirty list,
-// flushes exactly the connections on the old one, and returns that list
-// emptied to serve as the next spare. The two lists trade places every
-// pass, so a pass allocates nothing and costs O(dirty connections).
-func (t *TCP) flushDirty(spare []*sendConn) []*sendConn {
-	t.dirtyMu.Lock()
-	scs := t.dirty
-	t.dirty = spare
-	t.dirtyMu.Unlock()
-	for _, sc := range scs {
-		sc.flush()
-	}
-	clear(scs) // drop the references until the slots are reused
-	return scs[:0]
-}
-
-// flushAll flushes every dirty pooled connection, including any on a list
-// the flusher has swapped out but not yet reached; Close uses it.
+// flushAll flushes every dirty pooled connection, including any the flusher
+// has taken but not yet reached; Close uses it.
 func (t *TCP) flushAll() {
 	t.mu.Lock()
 	scs := make([]*sendConn, 0, len(t.conns))
@@ -371,7 +338,7 @@ func (t *TCP) Close() error {
 	// Push out buffered frames before tearing connections down, then stop
 	// the flusher.
 	t.flushAll()
-	close(t.flusherStop)
+	t.dirty.Close()
 	t.mu.Lock()
 	for _, ln := range t.listeners {
 		ln.Close()

@@ -649,7 +649,8 @@ func TestTCPCoalescingConcurrentSenders(t *testing.T) {
 }
 
 // TestTCPFlushPassAllocatesNothing pins the flusher's cost per wake-up:
-// marking a connection dirty and running a pass reuse the two dirty lists.
+// marking a connection dirty and running a pass trade the queue's backing
+// array with the flusher's batch instead of allocating.
 func TestTCPFlushPassAllocatesNothing(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -671,14 +672,17 @@ func TestTCPFlushPassAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := make([]byte, 64)
-	var spare []*sendConn
+	var scs []*sendConn
 	allocs := testing.AllocsPerRun(1000, func() {
 		sc.mu.Lock()
 		sc.bw.Write(frame)
 		sc.dirty = true
 		sc.mu.Unlock()
-		tt.markDirty(sc)
-		spare = tt.flushDirty(spare)
+		tt.dirty.Push(sc)
+		scs, _ = tt.dirty.Take(scs, 1)
+		for _, sc := range scs {
+			sc.flush()
+		}
 	})
 	if allocs != 0 {
 		t.Errorf("mark + flush pass: %v allocs, want 0", allocs)

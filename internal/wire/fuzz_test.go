@@ -58,6 +58,39 @@ func FuzzDecodeDeliver(f *testing.F) {
 	})
 }
 
+func FuzzDecodePublish(f *testing.F) {
+	f.Add((&PublishBody{Msg: fuzzMsg()}).Encode())
+	f.Add((&PublishBody{Msg: fuzzTracedMsg()}).Encode())
+	f.Add((&PublishBody{Msg: core.NewMessage(nil, nil)}).Encode())
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodePublish(data)
+		if err == nil && b.Msg == nil {
+			t.Fatal("nil message without error")
+		}
+	})
+}
+
+// FuzzDecodeSubscribe also feeds each input to DecodeStore: both bodies
+// carry the same subscription encoding, a client's and a dispatcher's.
+func FuzzDecodeSubscribe(f *testing.F) {
+	sub := core.NewSubscription(9, []core.Range{{Low: 1, High: 2}, {Low: 3, High: 4}})
+	sub.ID = 5
+	f.Add((&SubscribeBody{Sub: sub, DeliverAddr: "127.0.0.1:7001"}).Encode())
+	f.Add((&SubscribeBody{Sub: core.NewSubscription(1, nil)}).Encode())
+	f.Add((&StoreBody{Dim: 1, Sub: sub, DeliverAddr: "127.0.0.1:7001"}).Encode())
+	f.Add((&StoreBody{Sub: core.NewSubscription(1, nil)}).Encode())
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if b, err := DecodeSubscribe(data); err == nil && b.Sub == nil {
+			t.Fatal("subscribe: nil subscription without error")
+		}
+		if b, err := DecodeStore(data); err == nil && b.Sub == nil {
+			t.Fatal("store: nil subscription without error")
+		}
+	})
+}
+
 func FuzzDecodeForwardBatch(f *testing.F) {
 	f.Add((&ForwardBatchBody{Entries: []ForwardEntry{
 		{Dim: 1, Msg: fuzzMsg()}, {Dim: 3, Msg: fuzzMsg()}}}).Encode())
